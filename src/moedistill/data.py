@@ -126,7 +126,7 @@ def iter_batches(dataset: Dataset, batch_size: int,
 
 
 def load_tsv(path: str, has_header: bool = False) -> list[tuple[str, int]]:
-    """One example per line: text TAB label. Labels must be integers."""
+    """One example per line: text TAB label. Labels must be non-negative integers."""
     pairs = []
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -142,6 +142,8 @@ def load_tsv(path: str, has_header: bool = False) -> list[tuple[str, int]]:
                 label = int(parts[1])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: label {parts[1]!r} is not an integer") from None
+            if label < 0:
+                raise DataError(f"{path}:{lineno}: label {label} is negative")
             pairs.append((parts[0], label))
     return pairs
 

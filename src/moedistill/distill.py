@@ -8,7 +8,6 @@ the symmetric KL between the two prediction distributions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -242,6 +241,3 @@ def train_student(student: EncoderModel, teacher: EncoderModel, train: Dataset,
                              "eval_acc": acc})
     return student
 
-
-def metrics_to_jsonl(records: list[dict]) -> str:
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)

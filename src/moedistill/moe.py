@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, gelu, matmul, add, mul, reshape,
+from .tensor import (Tensor, ShapeError, ffn, matmul, add, mul, reshape,
                      softmax, take, scatter_rows, masked_mean_rows)
 
 HASH_RANDOM = "hash_random"
@@ -198,9 +198,8 @@ def moe_forward(attn_out: Tensor, experts: ExpertSet, routing: RoutingTable,
             idx = np.flatnonzero(sel == e)
             if idx.size == 0:
                 continue
-            a_e = take(attn_out, idx, axis=0)
-            h = gelu(add(matmul(a_e, experts.w1[e]), experts.b1[e]))
-            y = add(matmul(h, experts.w2[e]), experts.b2[e])
+            y = ffn(take(attn_out, idx, axis=0), experts.w1[e], experts.b1[e],
+                    experts.w2[e], experts.b2[e])
             p_e = reshape(take(probs, idx, axis=0), (idx.size, experts.num_experts))
             p_sel = reshape(take(p_e, np.asarray([e]), axis=1), (idx.size, 1, 1))
             out_parts.append(mul(y, p_sel))
@@ -222,9 +221,8 @@ def moe_forward(attn_out: Tensor, experts: ExpertSet, routing: RoutingTable,
         idx = np.flatnonzero(route == e)
         if idx.size == 0:
             continue
-        a_e = take(flat, idx, axis=0)
-        h = gelu(add(matmul(a_e, experts.w1[e]), experts.b1[e]))
-        y = add(matmul(h, experts.w2[e]), experts.b2[e])
+        y = ffn(take(flat, idx, axis=0), experts.w1[e], experts.b1[e],
+                experts.w2[e], experts.b2[e])
         piece = scatter_rows(y, idx, batch * seq)
         total = piece if total is None else add(total, piece)
     return reshape(total, (batch, seq, d))

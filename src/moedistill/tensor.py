@@ -31,10 +31,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class ShapeError(ValueError):
     """Operand shapes do not conform for the named operation."""
 
@@ -82,9 +78,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
@@ -259,6 +252,9 @@ def matmul(a, b) -> Tensor:
         return _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
 
     def grad_b(g):
+        if b.ndim == 2:  # a shared weight: one 2-D GEMM over every leading row
+            k, n = b.data.shape
+            return a.data.reshape(-1, k).T @ g.reshape(-1, n)
         return _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
 
     return _make("matmul", out, [(a, grad_a), (b, grad_b)])
@@ -290,19 +286,82 @@ def tanh(a) -> Tensor:
     return _make("tanh", out, [(a, lambda g: g * (1.0 - out * out))])
 
 
+def _gelu_tanh(x: np.ndarray, keep_t: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """GELU, tanh approximation: 0.5 x (1 + tanh(√(2/π)(x + 0.044715 x³))).
+
+    Returns ``(gelu(x), t)``, where ``t`` is the tanh term that ``_gelu_grad``
+    needs. Without ``keep_t``, ``t`` is None and the output is written over
+    its buffer. The cube is ``x*x*x``: numpy evaluates ``x ** 3`` as a general
+    ``pow``, which is several times slower.
+    """
+    u = x * x
+    u *= x
+    u *= _GELU_C
+    u += x
+    u *= _SQRT_2_OVER_PI
+    np.tanh(u, out=u)
+    h = u + 1.0 if keep_t else np.add(u, 1.0, out=u)
+    h *= x
+    h *= 0.5
+    return h, (u if keep_t else None)
+
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """d gelu / dx from the input and the tanh term of ``_gelu_tanh``."""
+    dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x * x)
+    return 0.5 * (1.0 + t + x * (1.0 - t * t) * dinner)
+
+
 def gelu(a) -> Tensor:
-    """GELU, tanh approximation: 0.5 x (1 + tanh(√(2/π)(x + 0.044715 x³)))."""
+    """GELU, tanh approximation (see ``_gelu_tanh``)."""
     a = as_tensor(a)
     x = a.data
-    inner = _SQRT_2_OVER_PI * (x + _GELU_C * x ** 3)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    out, t = _gelu_tanh(x, keep_t=True)
+    return _make("gelu", out, [(a, lambda g: g * _gelu_grad(x, t))])
 
-    def grad(g):
-        dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x * x)
-        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
 
-    return _make("gelu", out, [(a, grad)])
+def ffn(a, w1, b1, w2, b2) -> Tensor:
+    """Two-layer FFN ``GELU(a·W1 + b1)·W2 + b2`` as one graph node.
+
+    ``a`` is (..., d); W1 is d × d_h, W2 is d_h × d_out. The leading axes are
+    flattened into one GEMM per layer, and each weight gradient is a single
+    2-D GEMM over all rows. The pre-activation and the GELU tanh term are
+    kept only when a graph is recorded.
+    """
+    a, w1, b1, w2, b2 = (as_tensor(x) for x in (a, w1, b1, w2, b2))
+    if (a.ndim < 1 or w1.ndim != 2 or w2.ndim != 2 or a.shape[-1] != w1.shape[0]
+            or w2.shape[0] != w1.shape[1] or b1.shape != (w1.shape[1],)
+            or b2.shape != (w2.shape[1],)):
+        raise ShapeError("ffn", a.shape, w1.shape, b1.shape, w2.shape, b2.shape)
+    d, d_out = w1.shape[0], w2.shape[1]
+    a2 = a.data.reshape(-1, d)
+    z = a2 @ w1.data
+    z += b1.data
+    # the rule ``_make`` applies: a node is recorded iff some input is on a graph
+    record = _grad_enabled and any(x.requires_grad or x._parents for x in (a, w1, b1, w2, b2))
+    h, t = _gelu_tanh(z, keep_t=record)
+    y = h @ w2.data
+    y += b2.data
+    out = y.reshape(a.shape[:-1] + (d_out,))
+    if not record:
+        return _make("ffn", out, [])
+
+    memo = [None, None]  # (output gradient, dz): dz is shared by a, W1 and b1
+
+    def dz(g):
+        if memo[0] is not g:
+            dz_ = g.reshape(-1, d_out) @ w2.data.T
+            dz_ *= _gelu_grad(z, t)
+            memo[0], memo[1] = g, dz_
+        return memo[1]
+
+    return _make("ffn", out, [
+        (a, lambda g: (dz(g) @ w1.data.T).reshape(a.shape)),
+        (w1, lambda g: a2.T @ dz(g)),
+        (b1, lambda g: dz(g).sum(axis=0)),
+        (w2, lambda g: h.T @ g.reshape(-1, d_out)),
+        (b2, lambda g: g.reshape(-1, d_out).sum(axis=0)),
+    ])
 
 
 # -- reductions and reshaping ----------------------------------------------
@@ -319,12 +378,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         return np.broadcast_to(gg, a.data.shape).copy()
 
     return _make("sum", np.asarray(out, dtype=np.float64), [(a, grad)])
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    count = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def reshape(a, shape) -> Tensor:

@@ -50,6 +50,20 @@ class TestErrors:
         with pytest.raises(SystemExit):
             cli.main(["pipeline", "--config", "x", "--frobnicate"])
 
+    def test_negative_tsv_label(self, tmp_path, capsys):
+        train = tmp_path / "train.tsv"
+        train.write_text("good movie\t1\nbad movie\t-1\n")
+        evals = tmp_path / "eval.tsv"
+        evals.write_text("good film\t1\n")
+        cfg = write_config(tmp_path, data={"train_tsv": str(train),
+                                           "eval_tsv": str(evals)})
+        assert cli.main(["train-teacher", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DataError"
+        assert f"{train}:2:" in err["message"]
+
     def test_adapt_without_importance_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert cli.main(["train-teacher", "--config", cfg]) == 0

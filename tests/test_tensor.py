@@ -131,6 +131,87 @@ class TestBackward:
         assert err <= 1e-8
 
 
+def assert_rel_close(actual, expected, rel):
+    """Max absolute difference within ``rel`` of the largest expected entry."""
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+def composed_ffn(a, w1, b1, w2, b2):
+    """The five-op chain that ``T.ffn`` fuses; the oracle for the fused op."""
+    return T.add(T.matmul(T.gelu(T.add(T.matmul(a, w1), b1)), w2), b2)
+
+
+def ffn_params(lead, seed, d=3, dh=7, dout=4):
+    rng = np.random.default_rng(seed)
+    shapes = [lead + (d,), (d, dh), (dh,), (dh, dout), (dout,)]
+    return [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+
+
+class TestFusedFFN:
+    @pytest.mark.parametrize("lead", [(6,), (2, 5)])
+    def test_forward_and_gradients_match_composed_chain(self, lead):
+        weight = Tensor(rand(lead + (4,), 9))
+        results = []
+        for op in (T.ffn, composed_ffn):
+            params = ffn_params(lead, seed=len(lead))
+            out = op(*params)
+            T.tsum(T.mul(out, weight)).backward()
+            results.append([out.data] + [p.grad for p in params])
+        for fused, oracle in zip(*results):
+            assert_rel_close(fused, oracle, 1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_match_finite_diff(self, seed):
+        params = ffn_params((2, 3), seed)
+        weight = Tensor(rand((2, 3, 4), seed + 100))
+
+        def f():
+            return T.tsum(T.mul(T.ffn(*params), weight))
+
+        err = T.finite_diff_check(f, params, n_samples=40,
+                                  rng=np.random.default_rng(seed))
+        assert err <= 1e-6
+
+    def test_no_grad_records_no_parents(self):
+        params = ffn_params((2, 3), 0)
+        with T.no_grad():
+            out = T.ffn(*params)
+        assert out._parents == [] and not out.requires_grad
+
+    def test_mismatched_weights_raise(self):
+        a, w1, b1, _, b2 = ffn_params((2,), 0)
+        with pytest.raises(ShapeError, match="ffn"):
+            T.ffn(a, w1, b1, Tensor(np.zeros((6, 4))), b2)
+
+    def test_gelu_matches_closed_form_with_pow_cube(self):
+        x = np.linspace(-12.0, 12.0, 4801)
+        closed = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+        np.testing.assert_allclose(T.gelu(Tensor(x)).data, closed, rtol=1e-12, atol=1e-15)
+
+    def test_gelu_gradient_matches_finite_diff(self):
+        # elementwise central differences: a finite-difference check of the
+        # summed output would lose the tiny tail gradients to cancellation
+        x = np.linspace(-12.0, 12.0, 97)
+        xt = Tensor(x, requires_grad=True)
+        T.tsum(T.gelu(xt)).backward()
+        step = 1e-6
+        numeric = (T.gelu(Tensor(x + step)).data - T.gelu(Tensor(x - step)).data) / (2 * step)
+        np.testing.assert_allclose(xt.grad, numeric, rtol=1e-6, atol=1e-8)
+
+
+class TestMatmulWeightGrad:
+    @pytest.mark.parametrize("lead", [(5,), (3, 5), (2, 3, 5)])
+    def test_matches_batched_expression(self, lead):
+        a = rand(lead + (4,), 1)
+        g = rand(lead + (6,), 2)
+        w = Tensor(rand((4, 6), 3), requires_grad=True)
+        T.tsum(T.mul(T.matmul(Tensor(a), w), Tensor(g))).backward()
+        # the batched product it replaces, summed back to the weight's shape
+        batched = T._unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), w.shape)
+        assert_rel_close(w.grad, batched, 1e-12)
+
+
 class TestFiniteDiffCheck:
     def test_quadratic_is_nearly_exact(self):
         x = Tensor(rand((5,) * 2, 0), requires_grad=True)
