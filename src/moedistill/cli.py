@@ -16,6 +16,7 @@ from .checkpoint import CheckpointError
 from .data import DataError
 from .distill import TrainingDiverged
 from .moe import ADAPT_MODES, STRATEGIES, MoEError
+from .tensor import NonFiniteError
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -68,6 +69,7 @@ def _load_config(args) -> pl.RunConfig:
         cfg.num_experts = args.num_experts
     if getattr(args, "shared_dim", None) is not None:
         cfg.shared_dim = args.shared_dim
+    cfg.validate()
     return cfg
 
 
@@ -102,7 +104,7 @@ def main(argv=None) -> int:
                               "student_acc": summary["student"]["eval_acc"]},
                              sort_keys=True))
     except (pl.ConfigError, DataError, MoEError, CheckpointError,
-            TrainingDiverged, FileNotFoundError) as exc:
+            TrainingDiverged, NonFiniteError, FileNotFoundError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -178,7 +178,10 @@ def train_teacher(model: EncoderModel, train: Dataset, config: DistillConfig,
             if not np.isfinite(loss.item()):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch} step {step}")
             loss.backward()
-            clip_gradients(params, config.grad_clip_norm)
+            # a NaN norm never exceeds the clip bound, so clipping alone
+            # would let Adam write NaN into the weights
+            if not np.isfinite(clip_gradients(params, config.grad_clip_norm)):
+                raise TrainingDiverged(f"non-finite gradient norm at epoch {epoch} step {step}")
             opt.step()
             epoch_ce += loss.item()
             n_batches += 1
@@ -228,7 +231,8 @@ def train_student(student: EncoderModel, teacher: EncoderModel, train: Dataset,
             if not np.isfinite(total.item()):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch} step {step}")
             total.backward()
-            clip_gradients(params, config.grad_clip_norm)
+            if not np.isfinite(clip_gradients(params, config.grad_clip_norm)):
+                raise TrainingDiverged(f"non-finite gradient norm at epoch {epoch} step {step}")
             opt.step()
             sums += (report.ce, report.trm, report.pred)
             n_batches += 1

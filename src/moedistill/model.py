@@ -96,9 +96,15 @@ def ffn_forward(a: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
 
 
 class EncoderLayer:
-    """One transformer block: self-attention + FFN, post-layernorm."""
+    """One transformer block: self-attention + FFN, post-layernorm.
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    ``index`` is the block's depth; it names the scope (``layer{index}.attn``,
+    ``layer{index}.ffn``) of a ``NonFiniteError`` raised at either sublayer
+    output.
+    """
+
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, index: int):
+        self.index = index
         d = cfg.embed_dim
 
         def lin(nin, nout):
@@ -152,7 +158,10 @@ class EncoderLayer:
         attn = T.add(T.matmul(ctx, self.wo), self.bo)
         if dropout_p > 0 and rng is not None:
             attn = T.dropout(attn, dropout_p, rng)
-        a = T.layernorm(T.add(x, attn), self.attn_ln_g, self.attn_ln_b)
+        # post-LN turns any NaN or Inf in a row into NaN across the row, so
+        # scanning each sublayer output covers every op inside the sublayer
+        a = T.check_finite(T.layernorm(T.add(x, attn), self.attn_ln_g, self.attn_ln_b),
+                           f"layer{self.index}.attn")
 
         if isinstance(self.ffn, ExpertSet):
             y = moe_forward(a, self.ffn, self.routing, token_ids, mask)
@@ -160,7 +169,8 @@ class EncoderLayer:
             y = ffn_forward(a, self.ffn.w1, self.ffn.b1, self.ffn.w2, self.ffn.b2)
         if dropout_p > 0 and rng is not None:
             y = T.dropout(y, dropout_p, rng)
-        out = T.layernorm(T.add(a, y), self.ffn_ln_g, self.ffn_ln_b)
+        out = T.check_finite(T.layernorm(T.add(a, y), self.ffn_ln_g, self.ffn_ln_b),
+                             f"layer{self.index}.ffn")
         return out, a
 
 
@@ -177,7 +187,7 @@ class EncoderModel:
                               requires_grad=True)
         self.emb_ln_g = Tensor(np.ones(d), requires_grad=True)
         self.emb_ln_b = Tensor(np.zeros(d), requires_grad=True)
-        self.layers = [EncoderLayer(cfg, rng) for _ in range(cfg.num_layers)]
+        self.layers = [EncoderLayer(cfg, rng, i) for i in range(cfg.num_layers)]
         self.pool_w = Tensor(rng.normal(0.0, 0.02, size=(d, d)), requires_grad=True)
         self.pool_b = Tensor(np.zeros(d), requires_grad=True)
         self.cls_w = Tensor(rng.normal(0.0, 0.02, size=(d, cfg.num_labels)),
@@ -253,7 +263,7 @@ class EncoderModel:
 
         emb = T.add(T.embedding(self.tok_emb, token_ids),
                     T.embedding(self.pos_emb, np.arange(seq)))
-        x = T.layernorm(emb, self.emb_ln_g, self.emb_ln_b)
+        x = T.check_finite(T.layernorm(emb, self.emb_ln_g, self.emb_ln_b), "embeddings")
         if p > 0 and drop_rng is not None:
             x = T.dropout(x, p, drop_rng)
         hidden = [x]
@@ -265,7 +275,7 @@ class EncoderModel:
 
         cls_vec = T.reshape(T.take(x, np.asarray([0]), axis=1), (batch, self.cfg.embed_dim))
         pooled = T.tanh(T.add(T.matmul(cls_vec, self.pool_w), self.pool_b))
-        logits = T.add(T.matmul(pooled, self.cls_w), self.cls_b)
+        logits = T.check_finite(T.add(T.matmul(pooled, self.cls_w), self.cls_b), "logits")
         return logits, LayerOutputs(hidden, attn_outs, mask)
 
 

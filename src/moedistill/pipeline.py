@@ -61,6 +61,13 @@ class RunConfig:
             raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
         return cls(**doc)
 
+    def validate(self):
+        """Reject expert settings no stage can use, before any stage runs."""
+        for name, low in (("num_experts", 1), ("shared_dim", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
     def model_config(self, vocab_size: int, num_labels: int,
                      moe: MoEConfig | None = None) -> ModelConfig:
         d = dict(self.model)

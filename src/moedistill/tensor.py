@@ -41,11 +41,25 @@ class ShapeError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """An operation produced NaN or Inf; the graph is considered poisoned."""
+    """A value went NaN or Inf; ``op`` names the op or model scope that saw it.
+
+    Ops do not scan their outputs: NaN and Inf carry forward through
+    arithmetic, so models call ``check_finite`` at sublayer boundaries. Only
+    ops that can map a non-finite value to a finite one (``clamp``, ``exp``,
+    ``tanh``, ``softmax``) scan their input, and ``log``, which runs with
+    floating-point warnings silenced, scans its output.
+    """
 
     def __init__(self, op: str):
-        super().__init__(f"{op}: produced non-finite values")
+        super().__init__(f"{op}: non-finite values")
         self.op = op
+
+
+def check_finite(t: "Tensor", scope: str) -> "Tensor":
+    """Raise ``NonFiniteError(scope)`` unless every value of ``t`` is finite."""
+    if not np.isfinite(t.data).all():
+        raise NonFiniteError(scope)
+    return t
 
 
 class Tensor:
@@ -171,8 +185,6 @@ def as_tensor(x) -> Tensor:
 
 def _make(op: str, out: np.ndarray, parents) -> Tensor:
     """Wrap an op result; parents is a list of (Tensor, grad_fn)."""
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError(op)
     t = Tensor.__new__(Tensor)
     t.data = out
     t.grad = None
@@ -261,7 +273,7 @@ def matmul(a, b) -> Tensor:
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
-    a = as_tensor(a)
+    a = check_finite(as_tensor(a), "clamp")
     out = np.clip(a.data, lo, hi)
     inside = (a.data >= lo) & (a.data <= hi)
     return _make("clamp", out, [(a, lambda g: g * inside)])
@@ -271,17 +283,17 @@ def log(a) -> Tensor:
     a = as_tensor(a)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.log(a.data)
-    return _make("log", out, [(a, lambda g: g / a.data)])
+    return check_finite(_make("log", out, [(a, lambda g: g / a.data)]), "log")
 
 
 def exp(a) -> Tensor:
-    a = as_tensor(a)
+    a = check_finite(as_tensor(a), "exp")
     out = np.exp(a.data)
     return _make("exp", out, [(a, lambda g: g * out)])
 
 
 def tanh(a) -> Tensor:
-    a = as_tensor(a)
+    a = check_finite(as_tensor(a), "tanh")
     out = np.tanh(a.data)
     return _make("tanh", out, [(a, lambda g: g * (1.0 - out * out))])
 
@@ -431,7 +443,7 @@ def embedding(weight, ids) -> Tensor:
 
 
 def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
+    a = check_finite(as_tensor(a), "softmax")
     x = a.data
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)

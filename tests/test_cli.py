@@ -64,6 +64,30 @@ class TestErrors:
         assert err["error"] == "DataError"
         assert f"{train}:2:" in err["message"]
 
+    def test_nonfinite_value(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, teacher_train={"epochs": 1, "batch_size": 16,
+                                                    "learning_rate": 1e300})
+        with np.errstate(all="ignore"):
+            assert cli.main(["train-teacher", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "NonFiniteError"
+
+    @pytest.mark.parametrize("field,overrides,flags", [
+        ("num_experts", {"num_experts": 0}, []),
+        ("num_experts", {}, ["--num-experts", "0"]),
+        ("shared_dim", {"shared_dim": -1}, []),
+        ("shared_dim", {}, ["--shared-dim", "-1"]),
+    ])
+    def test_bad_expert_settings_rejected_before_any_stage(self, tmp_path, capsys,
+                                                            field, overrides, flags):
+        cfg = write_config(tmp_path, **overrides)
+        assert cli.main(["pipeline", "--config", cfg] + flags) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert field in err["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_adapt_without_importance_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert cli.main(["train-teacher", "--config", cfg]) == 0

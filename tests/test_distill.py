@@ -160,6 +160,17 @@ class TestTrainTeacher:
         for pa, pb in zip(ma.parameters(), mb.parameters()):
             assert np.array_equal(pa.data, pb.data)
 
+    def test_nonfinite_gradient_aborts_before_step(self, monkeypatch):
+        _, vocab, train, _ = build_task(seed=2, n=40)
+        model = small_model(vocab, 3, seed=0)
+        before = [p.data.copy() for p in model.parameters()]
+        poison_gradient(monkeypatch, model.layers[0].wq)
+        cfg = D.DistillConfig(epochs=1, batch_size=8, learning_rate=1e-3, seed=0)
+        with pytest.raises(D.TrainingDiverged, match="gradient norm at epoch 0 step 0"):
+            D.train_teacher(model, train, cfg)
+        for p, b in zip(model.parameters(), before):
+            assert np.array_equal(p.data, b)
+
     def test_divergence_aborts(self):
         _, vocab, train, _ = build_task(seed=2, n=40)
         model = small_model(vocab, 3, seed=0)
@@ -167,6 +178,17 @@ class TestTrainTeacher:
         cfg = D.DistillConfig(epochs=1, batch_size=8, learning_rate=1.0, seed=0)
         with pytest.raises((D.TrainingDiverged, T.NonFiniteError)):
             D.train_teacher(model, train, cfg)
+
+
+def poison_gradient(monkeypatch, param):
+    """After every backward pass, set one entry of ``param``'s gradient to NaN."""
+    backward = Tensor.backward
+
+    def poisoned(self):
+        backward(self)
+        param.grad.flat[0] = np.nan
+
+    monkeypatch.setattr(Tensor, "backward", poisoned)
 
 
 def make_student(teacher, train, vocab, shared_dim=4, routing="hash_random",
@@ -186,6 +208,18 @@ class TestTrainStudent:
         cfg = D.DistillConfig(epochs=1, batch_size=16, learning_rate=1e-3, seed=0)
         D.train_student(student, teacher, train, cfg)
         for p, b in zip(teacher.parameters(), before):
+            assert np.array_equal(p.data, b)
+
+    def test_nonfinite_gradient_aborts_before_step(self, monkeypatch):
+        _, vocab, train, _ = build_task(seed=3, n=60)
+        teacher = small_model(vocab, 3, seed=1)
+        student = make_student(teacher, train, vocab)
+        before = [p.data.copy() for p in student.parameters()]
+        poison_gradient(monkeypatch, student.layers[1].ffn.w2[0])
+        cfg = D.DistillConfig(epochs=1, batch_size=16, learning_rate=1e-3, seed=0)
+        with pytest.raises(D.TrainingDiverged, match="gradient norm at epoch 0 step 0"):
+            D.train_student(student, teacher, train, cfg)
+        for p, b in zip(student.parameters(), before):
             assert np.array_equal(p.data, b)
 
     def test_function_preserving_init_zero_losses(self):

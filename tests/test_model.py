@@ -1,13 +1,16 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
 from moedistill import tensor as T
+from moedistill.importance import ImportanceTable
 from moedistill.model import (EncoderModel, ModelConfig, MoEConfig, ffn_forward,
                               effective_param_count, flops_breakdown,
                               total_param_count)
-from moedistill.tensor import Tensor, ShapeError
+from moedistill.pipeline import adapt_model
+from moedistill.tensor import Tensor, ShapeError, NonFiniteError
 
 
 def small_cfg(**kw):
@@ -196,3 +199,102 @@ class TestConfig:
     def test_roundtrip_dict(self):
         cfg = small_cfg(moe=MoEConfig(4, 8, 2, "gate"))
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+# -- finiteness checks ------------------------------------------------------
+
+_plain_make = T._make
+
+
+def _scanning_make(op, out, parents):
+    """The rule the model's boundary checks replace: scan every op output."""
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError(op)
+    return _plain_make(op, out, parents)
+
+
+def _tiny_models():
+    """A dense teacher and its hash_balanced and gate students, 2 layers."""
+    cfg = small_cfg(vocab_size=20, embed_dim=8, ffn_hidden=16, num_heads=2,
+                    max_seq_len=6)
+    teacher = EncoderModel(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    table = ImportanceTable({l: rng.random(16) for l in range(2)}, 1)
+    freqs = np.arange(20, dtype=np.float64)
+    students = {routing: adapt_model(teacher, table, MoEConfig(2, 8, 2, routing),
+                                     freqs, seed=1)
+                for routing in ("hash_balanced", "gate")}
+    return {"dense": teacher, **students}
+
+
+def _tiny_batch():
+    ids = np.array([[2, 5, 9, 14, 3], [2, 7, 19, 0, 0]])
+    mask = (ids > 0).astype(np.float64)
+    return ids, mask
+
+
+def _forward_raises(model, grad, oracle, monkeypatch):
+    """The scope of the NonFiniteError a forward raises, or None."""
+    ids, mask = _tiny_batch()
+    with monkeypatch.context() as m:
+        if oracle:
+            m.setattr(T, "_make", _scanning_make)
+        try:
+            with contextlib.nullcontext() if grad else T.no_grad():
+                model.forward(ids, mask)
+        except NonFiniteError as exc:
+            return exc.op
+    return None
+
+
+class TestFiniteness:
+    @pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
+    def test_boundary_checks_raise_wherever_every_op_scan_does(self, kind, monkeypatch):
+        model = _tiny_models()[kind]
+        cases = 0
+        with np.errstate(all="ignore"):
+            for name, p in model.named_parameters().items():
+                saved = p.data.copy()
+                for value in (np.nan, np.inf, -np.inf, 1e308, -1e308):
+                    for whole in (True, False):
+                        if whole:
+                            p.data[...] = value
+                        else:
+                            p.data.flat[p.data.size // 2] = value
+                        for grad in (True, False):
+                            want = _forward_raises(model, grad, True, monkeypatch)
+                            got = _forward_raises(model, grad, False, monkeypatch)
+                            assert (got is None) == (want is None), \
+                                (name, value, whole, grad, want, got)
+                            cases += want is not None
+                        p.data[...] = saved
+        assert cases > 0
+
+    @pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
+    def test_scope_names_where_the_value_went_non_finite(self, kind, monkeypatch):
+        def raised(poison):
+            model = _tiny_models()[kind]
+            poison(model)
+            with np.errstate(all="ignore"):
+                return _forward_raises(model, True, False, monkeypatch)
+
+        def poison_w2(model):
+            ffn = model.layers[1].ffn
+            for w2 in (ffn.w2 if isinstance(ffn.w2, list) else [ffn.w2]):
+                w2.data[...] = np.inf
+
+        assert raised(lambda m: m.tok_emb.data.fill(np.nan)) == "embeddings"
+        assert raised(poison_w2) == "layer1.ffn"
+        assert raised(lambda m: m.layers[0].wq.data.fill(np.nan)) == "softmax"
+        assert raised(lambda m: m.pool_w.data.fill(1e308)) == "tanh"
+        assert raised(lambda m: m.cls_w.data.fill(np.inf)) == "logits"
+
+    @pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
+    def test_logits_identical_to_every_op_scan(self, kind, monkeypatch):
+        model = _tiny_models()[kind]
+        ids, mask = _tiny_batch()
+        plain, _ = model.forward(ids, mask)
+        with monkeypatch.context() as m:
+            m.setattr(T, "_make", _scanning_make)
+            oracle, _ = model.forward(ids, mask)
+        assert np.array_equal(plain.data, oracle.data)
