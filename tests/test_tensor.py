@@ -95,7 +95,7 @@ class TestBackward:
         def f():
             return T.mse(T.gelu(T.matmul(a, b)), target)
 
-        err = T.finite_diff_check(f, [a, b], step=1e-6, n_samples=18)
+        err = T.finite_diff_check(f, [a, b], n_samples=18)
         assert err <= 1e-6
 
     @pytest.mark.parametrize("seed", range(20))
@@ -115,7 +115,7 @@ class TestBackward:
             kl = T.kl_div(p, T.softmax(target))
             return T.add(T.add(T.mse(h, target), ce), kl)
 
-        err = T.finite_diff_check(f, [x, w, g, b], step=1e-6, n_samples=30,
+        err = T.finite_diff_check(f, [x, w, g, b], n_samples=30,
                                   rng=np.random.default_rng(seed))
         assert err <= 1e-5
 
@@ -219,7 +219,7 @@ class TestFiniteDiffCheck:
         def f():
             return T.tsum(T.mul(x, x))
 
-        assert T.finite_diff_check(f, [x], step=1e-6, n_samples=25) <= 1e-8
+        assert T.finite_diff_check(f, [x], n_samples=25) <= 1e-8
 
     def test_constant_function(self):
         x = Tensor(rand((3, 3), 1), requires_grad=True)
@@ -253,7 +253,9 @@ def test_broadcast_add_grad_matches_fd(seed):
     def f():
         return T.tsum(T.gelu(T.add(x, b)))
 
-    # 1e-6: central differences of the summed objective carry a few 1e-7
-    # of cancellation noise on near-flat GELU coordinates
+    # 1e-6: the stencil's cancellation noise is about 1e-13 of the summed
+    # objective, so only sampled coordinates whose GELU derivative is below
+    # ~1e-7 (near its zero at -0.75, or cancelling over b's three rows) sit
+    # under the noise
     assert T.finite_diff_check(f, [x, b], n_samples=16,
                                rng=np.random.default_rng(seed)) <= 1e-6
