@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import pipeline as pl
 from .checkpoint import CheckpointError
 from .data import DataError
@@ -73,6 +75,8 @@ def _load_config(args) -> pl.RunConfig:
     return cfg
 
 
+# non-finite values surface as one NonFiniteError at the model's checks, not as warnings
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

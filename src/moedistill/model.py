@@ -89,9 +89,7 @@ class DenseFFN:
 
 def ffn_forward(a: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Two-layer FFN: GELU(A·W1 + b1)·W2 + b2 (residual/layernorm at caller),
-    one fused ``tensor.ffn`` node."""
-    if w1.shape[0] != a.shape[-1] or w2.shape[0] != w1.shape[1]:
-        raise ShapeError("ffn_forward", a.shape, w1.shape, w2.shape)
+    one fused ``tensor.ffn`` node, which checks the shapes."""
     return T.ffn(a, w1, b1, w2, b2)
 
 

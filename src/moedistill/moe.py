@@ -5,6 +5,11 @@ expert gets the top-s shared neurons, then neuron (s+e), (s+e+N), ... until
 it holds expert_dim neurons. The least important (N-1)*s neurons are
 discarded. A "neuron" is the bundle (column j of W1, entry j of b1, row j
 of W2), which stays together through the split.
+
+Dispatch is grouped and dropless, as in MegaBlocks: ``moe_forward`` routes
+each token (by its id, or by its sentence's gate argmax) into one
+``tensor.moe_ffn`` node, which sorts the rows by expert once, runs each
+expert's GEMMs on its contiguous slice and un-permutes once; no token is dropped.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Tensor, ShapeError, ffn, matmul, add, mul, reshape,
-                     softmax, take, scatter_rows, masked_mean_rows)
+from .tensor import (Tensor, ShapeError, matmul, moe_ffn, reshape, softmax, take,
+                     masked_mean_rows)
 
 HASH_RANDOM = "hash_random"
 HASH_BALANCED = "hash_balanced"
@@ -170,59 +175,28 @@ def gate_probs(sentence_repr: Tensor, gate_weight: Tensor) -> Tensor:
 
 def routing_loads(table: np.ndarray, freqs: np.ndarray, num_experts: int) -> np.ndarray:
     """Fraction of corpus token mass routed to each expert (PAD excluded)."""
-    loads = np.zeros(num_experts)
-    for tok, e in enumerate(table):
-        if tok == 0:  # PAD
-            continue
-        loads[e] += freqs[tok]
+    loads = np.bincount(table[1:], weights=freqs[1:len(table)], minlength=num_experts)
     total = loads.sum()
     return loads / total if total > 0 else loads
 
 
 def moe_forward(attn_out: Tensor, experts: ExpertSet, routing: RoutingTable,
                 token_ids: np.ndarray, mask: np.ndarray) -> Tensor:
-    """MoE FFN sublayer output (pre-residual) for one layer.
+    """MoE FFN sublayer output (pre-residual) for one layer, as one ``moe_ffn`` node.
 
-    Hash strategies dispatch per token with weight 1; the gate routes whole
-    sentences to their argmax expert, scaling the output by the selected
-    probability so the gate weight receives gradient.
+    Hash strategies route each token by its id with weight 1; the gate routes
+    whole sentences to their argmax expert, scaling the output by the selected
+    probability so the gate weight receives gradient (through that entry only).
     """
-    batch, seq, d = attn_out.shape
-    if routing.strategy == GATE:
-        repr_ = masked_mean_rows(attn_out, mask)
-        probs = gate_probs(repr_, routing.gate_weight)
-        sel = np.argmax(probs.data, axis=1)  # ties -> lowest expert id
-        out_parts = []
-        idx_parts = []
-        for e in range(experts.num_experts):
-            idx = np.flatnonzero(sel == e)
-            if idx.size == 0:
-                continue
-            y = ffn(take(attn_out, idx, axis=0), experts.w1[e], experts.b1[e],
-                    experts.w2[e], experts.b2[e])
-            p_e = reshape(take(probs, idx, axis=0), (idx.size, experts.num_experts))
-            p_sel = reshape(take(p_e, np.asarray([e]), axis=1), (idx.size, 1, 1))
-            out_parts.append(mul(y, p_sel))
-            idx_parts.append(idx)
-        total = None
-        for idx, part in zip(idx_parts, out_parts):
-            piece = scatter_rows(part, idx, batch)
-            total = piece if total is None else add(total, piece)
-        return total
-
-    table = routing.table
-    flat_ids = token_ids.reshape(-1)
-    if flat_ids.max(initial=0) >= len(table):
-        raise MoEError("token id outside the routing table")
-    route = table[flat_ids]
-    flat = reshape(attn_out, (batch * seq, d))
-    total = None
-    for e in range(experts.num_experts):
-        idx = np.flatnonzero(route == e)
-        if idx.size == 0:
-            continue
-        y = ffn(take(flat, idx, axis=0), experts.w1[e], experts.b1[e],
-                experts.w2[e], experts.b2[e])
-        piece = scatter_rows(y, idx, batch * seq)
-        total = piece if total is None else add(total, piece)
-    return reshape(total, (batch, seq, d))
+    weights = (experts.w1, experts.b1, experts.w2, experts.b2)
+    if routing.strategy != GATE:
+        if token_ids.max(initial=0) >= len(routing.table):
+            raise MoEError("token id outside the routing table")
+        return moe_ffn(attn_out, routing.table[token_ids], *weights)
+    batch, seq, _ = attn_out.shape
+    probs = gate_probs(masked_mean_rows(attn_out, mask), routing.gate_weight)
+    sel = np.argmax(probs.data, axis=1)  # ties -> lowest expert id
+    route = np.repeat(sel, seq).reshape(batch, seq)
+    # every token of sentence b is scaled by probs[b, sel[b]], its one gradient path
+    scale = take(reshape(probs, (-1,)), route + (np.arange(batch) * experts.num_experts)[:, None])
+    return moe_ffn(attn_out, route, *weights, scale=scale)

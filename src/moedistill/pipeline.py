@@ -70,16 +70,9 @@ class RunConfig:
 
     def model_config(self, vocab_size: int, num_labels: int,
                      moe: MoEConfig | None = None) -> ModelConfig:
-        d = dict(self.model)
-        d.setdefault("embed_dim", 64)
-        d.setdefault("ffn_hidden", 256)
-        d.setdefault("num_layers", 4)
-        d.setdefault("num_heads", 4)
-        d.setdefault("max_seq_len", 64)
-        d["vocab_size"] = vocab_size
-        d["num_labels"] = num_labels
-        d["moe"] = None
-        cfg = ModelConfig.from_dict(d)
+        # fields the config leaves out take ModelConfig's defaults
+        cfg = ModelConfig.from_dict({**self.model, "vocab_size": vocab_size,
+                                     "num_labels": num_labels, "moe": None})
         cfg.moe = moe
         return cfg
 
@@ -221,15 +214,14 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _metrics_path(out_dir: str) -> str:
-    return os.path.join(out_dir, "metrics.jsonl")
-
-
-def _append_metrics(out_dir: str, records: list[dict]):
-    os.makedirs(out_dir, exist_ok=True)
-    with open(_metrics_path(out_dir), "a", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
+def _write_phase_metrics(out_dir: str, phase: str, records: list[dict]):
+    """Replace the ``phase`` records of metrics.jsonl, keeping the other phase's."""
+    path = os.path.join(out_dir, "metrics.jsonl")
+    kept = []
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            kept = [line for line in fh if json.loads(line).get("phase") != phase]
+    _write(path, "".join(kept + [json.dumps(r, sort_keys=True) + "\n" for r in records]))
 
 
 def stage_train_teacher(cfg: RunConfig, data: PreparedData) -> str:
@@ -243,7 +235,7 @@ def stage_train_teacher(cfg: RunConfig, data: PreparedData) -> str:
     _write(vocab_path, data.vocab.to_json())
     path = os.path.join(cfg.out_dir, "teacher.ckpt")
     save_checkpoint(teacher, path, vocab_file="vocab.json")
-    _append_metrics(cfg.out_dir, records)
+    _write_phase_metrics(cfg.out_dir, "teacher", records)
     return path
 
 
@@ -282,7 +274,7 @@ def stage_distill(cfg: RunConfig, data: PreparedData) -> str:
     header = read_header(os.path.join(cfg.out_dir, "student_init.ckpt"))
     save_checkpoint(student, path, vocab_file="vocab.json",
                     importance_digest=header.get("importance_digest"))
-    _append_metrics(cfg.out_dir, records)
+    _write_phase_metrics(cfg.out_dir, "student", records)
     return path
 
 
@@ -317,9 +309,6 @@ def stage_bench(cfg: RunConfig, data: PreparedData, repeats: int = 5) -> dict:
 
 def run_pipeline(cfg: RunConfig, bench_repeats: int = 5) -> dict:
     """Chain all stages; returns the final eval + bench summary."""
-    metrics = _metrics_path(cfg.out_dir)
-    if os.path.exists(metrics):
-        os.remove(metrics)
     data = prepare_data(cfg)
     stage_train_teacher(cfg, data)
     stage_importance(cfg, data)

@@ -9,6 +9,7 @@ reverse topological order by ``backward``.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 
 import numpy as np
@@ -151,32 +152,6 @@ class Tensor:
                     grads[key] = grads[key] + pg
                 else:
                     grads[key] = np.asarray(pg, dtype=np.float64)
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -376,6 +351,78 @@ def ffn(a, w1, b1, w2, b2) -> Tensor:
     ])
 
 
+def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None) -> Tensor:
+    """``y[r] = scale[r] · FFN_{route[r]}(a[r])`` over the rows of ``a`` (..., d), as one graph node.
+
+    ``route`` (shape ``a.shape[:-1]``, like ``scale``) picks each row's expert
+    among ``ffn`` weight sets of one width, ``w1s[e]``, ..., ``b2s[e]``. One
+    stable argsort groups the rows by expert; each expert runs its GEMMs on
+    its contiguous slice, GELU runs once over all of them, and one inverse
+    permutation restores row order. No row is dropped. An expert that no row
+    reaches gets no gradient (its grad stays None).
+    """
+    a, scale = as_tensor(a), (None if scale is None else as_tensor(scale))
+    experts = list(zip(w1s, b1s, w2s, b2s))
+    route = np.asarray(route)
+    d, k, d_out = a.data.shape[-1], w2s[0].data.shape[0], w2s[0].data.shape[-1]
+    want = ((d, k), (k,), (k, d_out), (d_out,))
+    if (route.shape != a.data.shape[:-1] or (scale is not None and scale.shape != route.shape)
+            or any((w1.data.shape, b1.data.shape, w2.data.shape, b2.data.shape) != want
+                   for w1, b1, w2, b2 in experts)):
+        raise ShapeError("moe_ffn", a.shape, route.shape, *(x.shape for ws in experts for x in ws))
+    flat = route.reshape(-1)
+    counts = np.bincount(flat, minlength=len(experts)).tolist()  # rejects a negative route
+    if len(counts) > len(experts):
+        raise ValueError(f"moe_ffn: route outside [0, {len(experts)})")
+    ends = itertools.accumulate(counts)
+    spans = [(e, end - c, end) for e, (c, end) in enumerate(zip(counts, ends)) if c]
+    order = np.argsort(flat, kind="stable")
+    inv = np.argsort(order)  # row r of the input sits at inv[r] in expert order
+    xs = a.data.reshape(-1, d)[order]
+    params = [a] + [x for ws in experts for x in ws] + ([] if scale is None else [scale])
+    record = _grad_enabled and any(x.requires_grad or x._parents for x in params)
+    z = np.empty((flat.size, k))
+    for e, lo, hi in spans:
+        np.matmul(xs[lo:hi], w1s[e].data, out=z[lo:hi])
+        z[lo:hi] += b1s[e].data
+    h, t = _gelu_tanh(z, keep_t=record)
+    ys = np.empty((flat.size, d_out))
+    for e, lo, hi in spans:
+        np.matmul(h[lo:hi], w2s[e].data, out=ys[lo:hi])
+        ys[lo:hi] += b2s[e].data
+    if scale is not None:
+        s = scale.data.reshape(-1)[order, None]
+        unscaled, ys = ys, ys * s
+    out = ys[inv].reshape(route.shape + (d_out,))
+    if not record:
+        return _make("moe_ffn", out, [])
+
+    memo = [None, None]  # (output gradient, every parent's gradient from it)
+
+    def grads(g):
+        if memo[0] is g:
+            return memo[1]
+        gs = g.reshape(-1, d_out)[order]
+        gy = gs if scale is None else gs * s
+        dz = np.empty_like(z)
+        for e, lo, hi in spans:
+            np.matmul(gy[lo:hi], w2s[e].data.T, out=dz[lo:hi])
+        dz *= _gelu_grad(z, t)
+        gx = np.empty_like(xs)
+        pgs = [None] * len(params)  # an idle expert keeps None, so the optimizer skips it
+        for e, lo, hi in spans:
+            np.matmul(dz[lo:hi], w1s[e].data.T, out=gx[lo:hi])
+            pgs[1 + 4 * e:5 + 4 * e] = [xs[lo:hi].T @ dz[lo:hi], dz[lo:hi].sum(axis=0),
+                                        h[lo:hi].T @ gy[lo:hi], gy[lo:hi].sum(axis=0)]
+        pgs[0] = gx[inv].reshape(a.shape)
+        if scale is not None:
+            pgs[-1] = (gs * unscaled).sum(axis=1)[inv].reshape(route.shape)
+        memo[:] = g, pgs
+        return pgs
+
+    return _make("moe_ffn", out, [(x, lambda g, i=i: grads(g)[i]) for i, x in enumerate(params)])
+
+
 # -- reductions and reshaping ----------------------------------------------
 
 
@@ -420,18 +467,6 @@ def take(a, idx, axis: int = 0) -> Tensor:
         return ga
 
     return _make("take", out, [(a, grad)])
-
-
-def scatter_rows(values, idx, num_rows: int) -> Tensor:
-    """Place ``values[i]`` at row ``idx[i]`` of a zero tensor of ``num_rows`` rows.
-
-    Inverse of ``take`` along axis 0 for unique indices; duplicate indices sum.
-    """
-    values = as_tensor(values)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.zeros((num_rows,) + values.data.shape[1:], dtype=np.float64)
-    np.add.at(out, idx, values.data)
-    return _make("scatter", out, [(values, lambda g: g[idx])])
 
 
 def embedding(weight, ids) -> Tensor:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from moedistill import tensor as T
 from moedistill.checkpoint import load_checkpoint
 from moedistill.data import pad_batch
 from moedistill.pipeline import RunConfig, prepare_data
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_config(tmp_path, **overrides):
@@ -73,6 +77,18 @@ class TestErrors:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "NonFiniteError"
 
+    def test_nonfinite_value_stderr_is_one_json_line(self, tmp_path):
+        cfg = write_config(tmp_path, teacher_train={"epochs": 1, "batch_size": 16,
+                                                    "learning_rate": 1e300})
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "moedistill.cli", "train-teacher",
+                               "--config", cfg], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "NonFiniteError"
+
     @pytest.mark.parametrize("field,overrides,flags", [
         ("num_experts", {"num_experts": 0}, []),
         ("num_experts", {}, ["--num-experts", "0"]),
@@ -129,6 +145,25 @@ class TestStages:
 
 
 class TestPipelineDeterminism:
+    def test_train_teacher_twice_keeps_one_run_of_records(self, tmp_path):
+        cfg = write_config(tmp_path)
+        metrics = tmp_path / "out" / "metrics.jsonl"
+        assert cli.main(["train-teacher", "--config", cfg]) == 0
+        single = metrics.read_bytes()
+        assert single and all(json.loads(line)["phase"] == "teacher"
+                              for line in single.decode().splitlines())
+        assert cli.main(["train-teacher", "--config", cfg]) == 0
+        assert metrics.read_bytes() == single
+
+    def test_rerun_stage_keeps_other_phase_records(self, tmp_path):
+        cfg = write_config(tmp_path)
+        metrics = tmp_path / "out" / "metrics.jsonl"
+        for command in ["train-teacher", "importance", "adapt", "distill"]:
+            assert cli.main([command, "--config", cfg]) == 0
+        both = metrics.read_text().splitlines()
+        assert cli.main(["distill", "--config", cfg]) == 0
+        assert metrics.read_text().splitlines() == both
+
     def test_byte_identical_metrics_across_runs(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from moedistill import moe as M
+from moedistill import tensor as T
+from moedistill.distill import Adam
 from moedistill.tensor import Tensor
+from oracles import moe_forward_per_expert
 
 
 def make_ffn(d, d_h, seed=0):
@@ -253,3 +256,95 @@ def test_routing_loads_excludes_pad():
     table = np.array([0, 0, 1, 1])
     loads = M.routing_loads(table, freqs, 2)
     np.testing.assert_allclose(loads, [0.25, 0.75])
+
+
+def assert_rel_close(actual, expected, rel):
+    """Max absolute difference within ``rel`` of the largest expected entry."""
+    assert actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+class TestGroupedDispatch:
+    """``moe_forward`` (one ``moe_ffn`` node) against the per-expert dispatch it
+    replaced, kept in ``tests/oracles.py``."""
+
+    N, D, SEQ, VOCAB = 3, 6, 5, 20
+
+    def _setup(self, strategy, batch, idle):
+        """Experts, routing and inputs; with ``idle``, expert 1 gets no row,
+        otherwise every expert gets one."""
+        rng = np.random.default_rng(11 + batch)
+        w1, b1, w2, b2 = make_ffn(self.D, 9, seed=4)
+        es = M.adapt_ffn(w1, b1, w2, b2, rng.permutation(9), self.N, 1)
+        a = rng.normal(size=(batch, self.SEQ, self.D))
+        ids = rng.integers(0, self.VOCAB, size=(batch, self.SEQ))
+        mask = np.ones((batch, self.SEQ))
+        mask[0, -2:] = 0.0
+        if strategy == M.GATE:
+            # draw gate weights until the argmax experts have the wanted cover
+            for seed in range(1000):
+                wg = np.random.default_rng(seed).normal(0.0, 3.0, size=(self.D, self.N))
+                z = (a * mask[:, :, None]).sum(1) / mask.sum(1, keepdims=True) @ wg
+                used = set(np.argmax(z, axis=1).tolist())
+                if (1 not in used) if idle else len(used) == self.N:
+                    break
+            else:
+                raise AssertionError("no gate weight gives the wanted expert cover")
+            routing = M.RoutingTable(M.GATE, gate_weight=Tensor(wg, requires_grad=True),
+                                     num_experts=self.N)
+        else:
+            freqs = rng.integers(1, 30, size=self.VOCAB).astype(float)
+            routing = M.build_routing(strategy, freqs, self.N, seed=5, embed_dim=self.D)
+            if idle:
+                routing.table[routing.table == 1] = 2
+            else:
+                for e in range(self.N):  # one token per expert at the start
+                    ids.flat[e] = np.flatnonzero(routing.table == e)[0]
+        return es, routing, a, ids, mask
+
+    def _run(self, forward, es, routing, a, ids, mask):
+        x = Tensor(a, requires_grad=True)
+        for p in es.parameters():
+            p.zero_grad()
+        gate = routing.gate_weight
+        if gate is not None:
+            gate.zero_grad()
+        out = forward(x, es, routing, ids, mask)
+        weight = np.random.default_rng(3).normal(size=out.shape)
+        T.tsum(T.mul(out, Tensor(weight))).backward()
+        grads = [x.grad] + [p.grad for p in es.parameters()]
+        return out.data, grads + ([gate.grad] if gate is not None else [])
+
+    # one sentence picks one expert under the gate, so gate at batch 1 always has idle ones
+    @pytest.mark.parametrize("strategy,batch,idle", [
+        (s, b, i) for s in M.STRATEGIES for b in (1, 4) for i in (False, True)
+        if not (s == M.GATE and b == 1 and not i)])
+    def test_output_and_gradients_match_per_expert_oracle(self, strategy, batch, idle):
+        es, routing, a, ids, mask = self._setup(strategy, batch, idle)
+        out, grads = self._run(M.moe_forward, es, routing, a, ids, mask)
+        ref_out, ref_grads = self._run(moe_forward_per_expert, es, routing, a, ids, mask)
+        assert_rel_close(out, ref_out, 1e-12)
+        assert len(grads) == len(ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            assert (g is None) == (ref is None)
+            if ref is not None:
+                assert_rel_close(g, ref, 1e-12)
+        if idle:
+            assert all(p.grad is None for p in (es.w1[1], es.b1[1], es.w2[1], es.b2[1]))
+
+    @pytest.mark.parametrize("strategy", [M.HASH_RANDOM, M.GATE])
+    def test_idle_expert_untouched_by_adam(self, strategy):
+        es, routing, a, ids, mask = self._setup(strategy, 4, idle=True)
+        out = M.moe_forward(Tensor(a), es, routing, ids, mask)
+        T.tsum(T.mul(out, out)).backward()
+        idle = [es.w1[1], es.b1[1], es.w2[1], es.b2[1]]
+        assert all(p.grad is None for p in idle)
+        params = es.parameters() + ([routing.gate_weight] if strategy == M.GATE else [])
+        before = [p.data.copy() for p in params]
+        opt = Adam(params, lr=1e-2)
+        opt.step()
+        for i, p in enumerate(params):
+            moved = not np.array_equal(p.data, before[i])
+            assert moved == (not any(p is q for q in idle))
+            if any(p is q for q in idle):
+                assert not opt.m[i].any() and not opt.v[i].any()

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from moedistill import tensor as T
 from moedistill.tensor import Tensor, ShapeError, NonFiniteError
+from oracles import scatter_rows
 
 
 def rand(shape, seed):
@@ -125,7 +126,7 @@ class TestBackward:
 
         def f():
             picked = T.take(x, idx)
-            return T.tsum(T.mul(T.scatter_rows(picked, idx, 6), 2.0))
+            return T.tsum(T.mul(scatter_rows(picked, idx, 6), 2.0))
 
         err = T.finite_diff_check(f, [x], n_samples=18)
         assert err <= 1e-8
@@ -198,6 +199,71 @@ class TestFusedFFN:
         step = 1e-6
         numeric = (T.gelu(Tensor(x + step)).data - T.gelu(Tensor(x - step)).data) / (2 * step)
         np.testing.assert_allclose(xt.grad, numeric, rtol=1e-6, atol=1e-8)
+
+
+def moe_ffn_params(n, seed, d=3, dh=5, dout=4):
+    """Per-expert ffn weights as four lists of ``n`` trainable tensors."""
+    rng = np.random.default_rng(seed)
+    shapes = [(d, dh), (dh,), (dh, dout), (dout,)]
+    return [[Tensor(rng.normal(size=s), requires_grad=True) for _ in range(n)]
+            for s in shapes]
+
+
+class TestMoeFFN:
+    # rows of a (2, 5) input; expert 2 of 4 is idle
+    ROUTE = np.array([[0, 3, 1, 0, 3], [1, 1, 0, 3, 0]])
+
+    def test_matches_ffn_of_each_row(self):
+        a = rand((2, 5, 3), 1)
+        weights = moe_ffn_params(4, 2)
+        scale = rand((2, 5), 3)
+        out = T.moe_ffn(Tensor(a), self.ROUTE, *weights, scale=Tensor(scale))
+        for b in range(2):
+            for t in range(5):
+                e = self.ROUTE[b, t]
+                row = T.ffn(Tensor(a[b, t]), *(w[e] for w in weights)).data
+                assert_rel_close(out.data[b, t], scale[b, t] * row, 1e-12)
+
+    @pytest.mark.parametrize("with_scale", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_match_finite_diff(self, seed, with_scale):
+        a = Tensor(rand((2, 5, 3), seed), requires_grad=True)
+        weights = moe_ffn_params(4, seed + 10)
+        scale = Tensor(rand((2, 5), seed + 20), requires_grad=True) if with_scale else None
+        weight = Tensor(rand((2, 5, 4), seed + 100))
+        params = [a] + [p for ws in weights for i, p in enumerate(ws) if i != 2]
+        params += [scale] if with_scale else []
+
+        def f():
+            return T.tsum(T.mul(T.moe_ffn(a, self.ROUTE, *weights, scale=scale), weight))
+
+        err = T.finite_diff_check(f, params, n_samples=60,
+                                  rng=np.random.default_rng(seed))
+        assert err <= 1e-6
+        assert all(ws[2].grad is None for ws in weights)  # the idle expert
+
+    def test_no_grad_records_no_parents(self):
+        with T.no_grad():
+            out = T.moe_ffn(Tensor(rand((2, 5, 3), 0)), self.ROUTE, *moe_ffn_params(4, 0))
+        assert out._parents == [] and not out.requires_grad
+
+    def test_bad_route_or_weights_raise(self):
+        a = Tensor(rand((2, 5, 3), 0))
+        weights = moe_ffn_params(4, 0)
+        with pytest.raises(ShapeError, match="moe_ffn"):
+            T.moe_ffn(a, self.ROUTE[:, :4], *weights)
+        with pytest.raises(ShapeError, match="moe_ffn"):
+            T.moe_ffn(a, self.ROUTE, *weights, scale=Tensor(np.ones((2, 1))))
+        with pytest.raises(ValueError, match="route outside"):
+            T.moe_ffn(a, self.ROUTE + 1, *weights)
+        for w, shape in zip(weights, [(3, 6), (6,), (6, 4)]):  # expert 3 wider than the rest
+            w[3] = Tensor(np.zeros(shape))
+        with pytest.raises(ShapeError, match="moe_ffn"):
+            T.moe_ffn(a, self.ROUTE, *weights)
+        weights = moe_ffn_params(4, 0)
+        weights[2][1] = Tensor(np.zeros((6, 4)))
+        with pytest.raises(ShapeError, match="moe_ffn"):
+            T.moe_ffn(a, self.ROUTE, *weights)
 
 
 class TestMatmulWeightGrad:
