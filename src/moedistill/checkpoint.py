@@ -5,23 +5,28 @@ Layout: magic "MOEB" | uint32 version | uint32 header length | JSON header
 (name + shape in payload order), routing tables, an optional vocabulary
 reference and an importance-table digest. The payload is the manifest's
 tensors as little-endian float32, row major, concatenated. Loading checks
-the byte length against the manifest exactly.
+the byte length against the manifest exactly, and raises ``CheckpointError``
+for any file it cannot read as a model: a short file, a header that is not
+JSON or lacks keys, a manifest that does not match the model, or a routing
+table entry or provenance column out of range.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
 
 from .model import EncoderModel, ModelConfig
-from .moe import ExpertSet, RoutingTable, GATE
+from .moe import ExpertSet, RoutingTable, GATE, STRATEGIES
 from .tensor import Tensor
 
 MAGIC = b"MOEB"
 VERSION = 1
+_HEADER_KEYS = ("config", "manifest", "routing", "provenance", "payload_sha256")
 
 
 class CheckpointError(ValueError):
@@ -29,23 +34,14 @@ class CheckpointError(ValueError):
 
 
 def _routing_headers(model: EncoderModel) -> list[dict | None]:
-    out = []
-    for layer in model.layers:
-        if layer.routing is None:
-            out.append(None)
-        else:
-            out.append(layer.routing.to_header())
-    return out
+    return [None if layer.routing is None else layer.routing.to_header()
+            for layer in model.layers]
 
 
 def _provenance_headers(model: EncoderModel) -> list[list[list[int]] | None]:
-    out = []
-    for layer in model.layers:
-        if isinstance(layer.ffn, ExpertSet):
-            out.append([[int(c) for c in prov] for prov in layer.ffn.provenance])
-        else:
-            out.append(None)
-    return out
+    return [None if layer.routing is None
+            else [[int(c) for c in prov] for prov in layer.ffn.provenance]
+            for layer in model.layers]
 
 
 def save_checkpoint(model: EncoderModel, path: str,
@@ -73,34 +69,51 @@ def save_checkpoint(model: EncoderModel, path: str,
         fh.write(payload)
 
 
+def _read_header(fh, path: str) -> dict:
+    """Check magic and version, and parse the JSON header; ``fh`` is left at the payload."""
+    prefix = fh.read(12)
+    if prefix[:4] != MAGIC or len(prefix) < 12:
+        raise CheckpointError(f"{path}: bad magic or a file shorter than the prefix")
+    version, hlen = struct.unpack("<II", prefix[4:])
+    if version != VERSION:
+        raise CheckpointError(f"{path}: unsupported format version {version}")
+    # checked before reading: a corrupt length must not size a huge read
+    if 12 + hlen > os.fstat(fh.fileno()).st_size:
+        raise CheckpointError(f"{path}: header length {hlen} runs past the end of the file")
+    try:
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise CheckpointError(f"{path}: header is not UTF-8 JSON ({exc})") from None
+    missing = [k for k in _HEADER_KEYS if not isinstance(header, dict) or k not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
+    return header
+
+
 def read_header(path: str) -> dict:
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise CheckpointError(f"{path}: bad magic")
-        version, hlen = struct.unpack("<II", fh.read(8))
-        if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported format version {version}")
-        return json.loads(fh.read(hlen).decode("utf-8"))
+        return _read_header(fh, path)
 
 
 def load_checkpoint(path: str) -> EncoderModel:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic")
-    version, hlen = struct.unpack("<II", blob[4:12])
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    header = json.loads(blob[12:12 + hlen].decode("utf-8"))
-    payload = blob[12 + hlen:]
+        header = _read_header(fh, path)
+        payload = fh.read()
+    try:
+        return _model_from(header, payload)
+    # a header that parses but does not describe a model fails in many ways
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        detail = (str(exc) if isinstance(exc, CheckpointError)
+                  else f"malformed header ({type(exc).__name__}: {exc})")
+        raise CheckpointError(f"{path}: {detail}") from None
 
+
+def _model_from(header: dict, payload: bytes) -> EncoderModel:
     expected = sum(int(np.prod(m["shape"])) * 4 for m in header["manifest"])
     if len(payload) != expected:
-        raise CheckpointError(
-            f"{path}: payload is {len(payload)} bytes, manifest requires {expected}")
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header.get("payload_sha256"):
-        raise CheckpointError(f"{path}: payload checksum mismatch")
+        raise CheckpointError(f"payload is {len(payload)} bytes, manifest requires {expected}")
+    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+        raise CheckpointError("payload checksum mismatch")
 
     cfg = ModelConfig.from_dict(header["config"])
     model = EncoderModel(cfg, seed=0)
@@ -108,48 +121,53 @@ def load_checkpoint(path: str) -> EncoderModel:
         _install_moe_structure(model, header)
 
     named = model.named_parameters()
+    names = [entry["name"] for entry in header["manifest"]]
+    if sorted(names) != sorted(named):
+        raise CheckpointError("manifest does not list each model tensor once")
     offset = 0
     for entry in header["manifest"]:
         name, shape = entry["name"], tuple(entry["shape"])
         size = int(np.prod(shape)) * 4
         arr = np.frombuffer(payload[offset:offset + size], dtype="<f4").reshape(shape)
         offset += size
-        if name not in named:
-            raise CheckpointError(f"{path}: unknown tensor {name!r} in manifest")
         target = named[name]
         if target.shape != shape:
-            raise CheckpointError(f"{path}: shape mismatch for {name!r}")
+            raise CheckpointError(f"shape mismatch for {name!r}")
         target.data = arr.astype(np.float64)
     return model
 
 
+def _indices(values, bound: int, what: str) -> np.ndarray:
+    """``values`` as an int64 array, if it is a list of ints in [0, bound)."""
+    if not (isinstance(values, list)
+            and all(type(v) is int and 0 <= v < bound for v in values)):
+        raise CheckpointError(f"{what} must be a list of integers in [0, {bound})")
+    return np.asarray(values, dtype=np.int64)
+
+
 def _install_moe_structure(model: EncoderModel, header: dict) -> None:
-    """Replace dense FFNs with expert sets shaped per the header."""
+    """Replace dense FFNs with expert sets shaped per the header, after
+    checking each layer's routing and provenance against the config."""
     cfg = model.cfg
-    n, e = cfg.moe.num_experts, cfg.moe.expert_dim
-    d = cfg.embed_dim
+    n, e, d = cfg.moe.num_experts, cfg.moe.expert_dim, cfg.embed_dim
     for i, layer in enumerate(model.layers):
-        prov = header["provenance"][i]
-        es = ExpertSet([], [], [], [], [])
-        for j in range(n):
-            es.w1.append(Tensor(np.zeros((d, e)), requires_grad=True))
-            es.b1.append(Tensor(np.zeros(e), requires_grad=True))
-            es.w2.append(Tensor(np.zeros((e, d)), requires_grad=True))
-            es.b2.append(Tensor(np.zeros(d), requires_grad=True))
-            es.provenance.append(np.asarray(prov[j], dtype=np.int64))
-        layer.ffn = es
-        rh = header["routing"][i]
-        if rh is None:
-            layer.routing = None
-        elif rh["strategy"] == GATE:
+        rh, prov = header["routing"][i], header["provenance"][i]
+        if (rh is None or rh["strategy"] not in STRATEGIES or rh["strategy"] != cfg.moe.routing
+                or rh["num_experts"] != n):
+            raise CheckpointError(f"layer {i} routing does not match the model config")
+        cols = [_indices(p, cfg.ffn_hidden, f"layer {i} expert {j} provenance")
+                for j, p in enumerate(prov)]
+        if len(cols) != n or any(len(c) != e or len(set(c.tolist())) != e for c in cols):
+            raise CheckpointError(f"layer {i} provenance must give {n} experts {e} distinct columns")
+        layer.ffn = ExpertSet(*([Tensor(np.zeros(shape), requires_grad=True) for _ in range(n)]
+                                for shape in ((d, e), (e,), (e, d), (d,))), provenance=cols)
+        if rh["strategy"] == GATE:
             layer.routing = RoutingTable(
-                GATE, gate_weight=Tensor(np.zeros((d, rh["num_experts"])),
-                                         requires_grad=True),
-                num_experts=rh["num_experts"])
+                GATE, gate_weight=Tensor(np.zeros((d, n)), requires_grad=True), num_experts=n)
         else:
             layer.routing = RoutingTable(
-                rh["strategy"], table=np.asarray(rh["table"], dtype=np.int64),
-                num_experts=rh["num_experts"])
+                rh["strategy"], table=_indices(rh["table"], n, f"layer {i} routing table"),
+                num_experts=n)
 
 
 def importance_json_digest(text: str) -> str:

@@ -20,7 +20,6 @@ import numpy as np
 from . import tensor as T
 from .data import Dataset, pad_batch
 from .model import EncoderModel
-from .moe import ExpertSet
 
 
 class ImportanceError(ValueError):
@@ -68,7 +67,7 @@ def accumulate_importance(teacher: EncoderModel, dataset: Dataset) -> Importance
         loss = T.cross_entropy_logits(logits, labels)
         loss.backward()
         for l, layer in enumerate(teacher.layers):
-            w1, w2 = layer.ffn.w1, layer.ffn.w2
+            w1, w2 = layer.ffn.w1[0], layer.ffn.w2[0]
             g1 = w1.grad if w1.grad is not None else np.zeros_like(w1.data)
             g2 = w2.grad if w2.grad is not None else np.zeros_like(w2.data)
             term = (w1.data * g1).sum(axis=0) + (w2.data * g2).sum(axis=1)
@@ -83,9 +82,10 @@ def importance_oracle(teacher: EncoderModel, dataset: Dataset, layer: int, j: in
     Zeroes column j of W1, entry j of b1 and row j of W2, re-evaluates the
     summed dataset loss, restores the weights, and returns |delta|.
     """
-    ffn = teacher.layers[layer].ffn
-    if isinstance(ffn, ExpertSet):
+    if teacher.layers[layer].routing is not None:
         raise ImportanceError("model already adapted")
+    ffn = teacher.layers[layer].ffn
+    w1, b1, w2 = ffn.w1[0].data, ffn.b1[0].data, ffn.w2[0].data
     if not 0 <= j < teacher.cfg.ffn_hidden:
         raise ImportanceError(f"neuron index {j} out of range")
 
@@ -99,12 +99,12 @@ def importance_oracle(teacher: EncoderModel, dataset: Dataset, layer: int, j: in
         return total
 
     base = total_loss()
-    saved = (ffn.w1.data[:, j].copy(), ffn.b1.data[j].copy(), ffn.w2.data[j, :].copy())
-    ffn.w1.data[:, j] = 0.0
-    ffn.b1.data[j] = 0.0
-    ffn.w2.data[j, :] = 0.0
+    saved = (w1[:, j].copy(), b1[j].copy(), w2[j, :].copy())
+    w1[:, j] = 0.0
+    b1[j] = 0.0
+    w2[j, :] = 0.0
     try:
         ablated = total_loss()
     finally:
-        ffn.w1.data[:, j], ffn.b1.data[j], ffn.w2.data[j, :] = saved
+        w1[:, j], b1[j], w2[j, :] = saved
     return abs(base - ablated)

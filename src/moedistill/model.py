@@ -1,10 +1,11 @@
 """A small BERT-style encoder for sequence classification.
 
 Post-layernorm residual blocks: each sublayer computes its function, adds
-the residual, then layer-normalizes. The FFN sublayer is either a dense
-two-layer network or an ExpertSet with token routing; both expose the same
-per-layer hidden states X^0 .. X^L for distillation (X^0 is the embedding
-output, each X^l post-layernorm).
+the residual, then layer-normalizes. Every FFN sublayer is an ExpertSet run
+by ``moe.moe_forward``: the dense teacher's is one expert with no routing, a
+student's is N experts with a routing table. Both expose the same per-layer
+hidden states X^0 .. X^L for distillation (X^0 is the embedding output, each
+X^l post-layernorm).
 """
 
 from __future__ import annotations
@@ -79,26 +80,13 @@ class LayerOutputs:
     mask: np.ndarray
 
 
-class DenseFFN:
-    def __init__(self, w1, b1, w2, b2):
-        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
-
-    def parameters(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
-
-def ffn_forward(a: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Two-layer FFN: GELU(A·W1 + b1)·W2 + b2 (residual/layernorm at caller),
-    one fused ``tensor.ffn`` node, which checks the shapes."""
-    return T.ffn(a, w1, b1, w2, b2)
-
-
 class EncoderLayer:
     """One transformer block: self-attention + FFN, post-layernorm.
 
     ``index`` is the block's depth; it names the scope (``layer{index}.attn``,
     ``layer{index}.ffn``) of a ``NonFiniteError`` raised at either sublayer
-    output.
+    output. A layer is dense, one expert of width ``ffn_hidden``, while
+    ``routing`` is None.
     """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator, index: int):
@@ -117,7 +105,7 @@ class EncoderLayer:
         self.attn_ln_b = Tensor(np.zeros(d), requires_grad=True)
         w1, b1 = lin(d, cfg.ffn_hidden)
         w2, b2 = lin(cfg.ffn_hidden, d)
-        self.ffn: DenseFFN | ExpertSet = DenseFFN(w1, b1, w2, b2)
+        self.ffn = ExpertSet([w1], [b1], [w2], [b2], provenance=None)
         self.routing: RoutingTable | None = None
         self.ffn_ln_g = Tensor(np.ones(d), requires_grad=True)
         self.ffn_ln_b = Tensor(np.zeros(d), requires_grad=True)
@@ -161,10 +149,7 @@ class EncoderLayer:
         a = T.check_finite(T.layernorm(T.add(x, attn), self.attn_ln_g, self.attn_ln_b),
                            f"layer{self.index}.attn")
 
-        if isinstance(self.ffn, ExpertSet):
-            y = moe_forward(a, self.ffn, self.routing, token_ids, mask)
-        else:
-            y = ffn_forward(a, self.ffn.w1, self.ffn.b1, self.ffn.w2, self.ffn.b2)
+        y = moe_forward(a, self.ffn, self.routing, token_ids, mask)
         if dropout_p > 0 and rng is not None:
             y = T.dropout(y, dropout_p, rng)
         out = T.check_finite(T.layernorm(T.add(a, y), self.ffn_ln_g, self.ffn_ln_b),
@@ -212,17 +197,16 @@ class EncoderModel:
                           p + "wo": layer.wo, p + "bo": layer.bo,
                           p + "attn_ln_g": layer.attn_ln_g, p + "attn_ln_b": layer.attn_ln_b,
                           p + "ffn_ln_g": layer.ffn_ln_g, p + "ffn_ln_b": layer.ffn_ln_b})
-            if isinstance(layer.ffn, ExpertSet):
-                for e in range(layer.ffn.num_experts):
-                    named[p + f"expert{e}.w1"] = layer.ffn.w1[e]
-                    named[p + f"expert{e}.b1"] = layer.ffn.b1[e]
-                    named[p + f"expert{e}.w2"] = layer.ffn.w2[e]
-                    named[p + f"expert{e}.b2"] = layer.ffn.b2[e]
-                if layer.routing is not None and layer.routing.gate_weight is not None:
-                    named[p + "gate_w"] = layer.routing.gate_weight
+            ffn = layer.ffn
+            if layer.routing is None:
+                named.update({p + "ffn_w1": ffn.w1[0], p + "ffn_b1": ffn.b1[0],
+                              p + "ffn_w2": ffn.w2[0], p + "ffn_b2": ffn.b2[0]})
             else:
-                named.update({p + "ffn_w1": layer.ffn.w1, p + "ffn_b1": layer.ffn.b1,
-                              p + "ffn_w2": layer.ffn.w2, p + "ffn_b2": layer.ffn.b2})
+                for e in range(ffn.num_experts):
+                    named.update({p + f"expert{e}.w1": ffn.w1[e], p + f"expert{e}.b1": ffn.b1[e],
+                                  p + f"expert{e}.w2": ffn.w2[e], p + f"expert{e}.b2": ffn.b2[e]})
+                if layer.routing.gate_weight is not None:
+                    named[p + "gate_w"] = layer.routing.gate_weight
         named.update({"pool_w": self.pool_w, "pool_b": self.pool_b,
                       "cls_w": self.cls_w, "cls_b": self.cls_b})
         return named
@@ -233,16 +217,13 @@ class EncoderModel:
 
     @property
     def is_moe(self) -> bool:
-        return any(isinstance(l.ffn, ExpertSet) for l in self.layers)
+        return any(l.routing is not None for l in self.layers)
 
     def count_effective_params(self) -> int:
         return effective_param_count(self.cfg)
 
     def count_total_params(self) -> int:
         return sum(p.data.size for p in self.parameters())
-
-    def flops_per_token(self, seq_len: int | None = None) -> int:
-        return flops_per_token(self.cfg, seq_len)
 
     # -- forward ------------------------------------------------------------
 
@@ -330,7 +311,3 @@ def flops_breakdown(cfg: ModelConfig, seq_len: int | None = None) -> dict[str, i
     head = d * d + d * cfg.num_labels
     return {"attention": attn, "ffn": ffn, "gate": gate, "head": head,
             "total": attn + ffn + gate + head}
-
-
-def flops_per_token(cfg: ModelConfig, seq_len: int | None = None) -> int:
-    return flops_breakdown(cfg, seq_len)["total"]

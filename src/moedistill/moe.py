@@ -6,10 +6,12 @@ it holds expert_dim neurons. The least important (N-1)*s neurons are
 discarded. A "neuron" is the bundle (column j of W1, entry j of b1, row j
 of W2), which stays together through the split.
 
-Dispatch is grouped and dropless, as in MegaBlocks: ``moe_forward`` routes
-each token (by its id, or by its sentence's gate argmax) into one
-``tensor.moe_ffn`` node, which sorts the rows by expert once, runs each
-expert's GEMMs on its contiguous slice and un-permutes once; no token is dropped.
+``moe_forward`` is the one FFN sublayer; a dense FFN is one expert with no
+routing. Dispatch is grouped and dropless, as in MegaBlocks: each token (by
+its id, or by its sentence's gate argmax) goes into one ``tensor.moe_ffn``
+node, which sorts the rows by expert once, runs each expert's GEMMs on its
+contiguous slice and un-permutes once (or neither, when one expert takes
+every row); no token is dropped.
 """
 
 from __future__ import annotations
@@ -38,13 +40,14 @@ class MoEError(ValueError):
 
 @dataclass
 class ExpertSet:
-    """N parallel FFNs of width expert_dim plus column provenance."""
+    """N parallel FFNs of width expert_dim plus column provenance; a dense FFN
+    is one full-width expert whose ``provenance`` is None (it was never split)."""
 
     w1: list[Tensor]  # each d × expert_dim
     b1: list[Tensor]  # each expert_dim
     w2: list[Tensor]  # each expert_dim × d
     b2: list[Tensor]  # each d; independent trainable copies of the original
-    provenance: list[np.ndarray]  # per expert: original column index per slot
+    provenance: list[np.ndarray] | None  # per expert: original column index per slot
 
     @property
     def num_experts(self) -> int:
@@ -180,15 +183,18 @@ def routing_loads(table: np.ndarray, freqs: np.ndarray, num_experts: int) -> np.
     return loads / total if total > 0 else loads
 
 
-def moe_forward(attn_out: Tensor, experts: ExpertSet, routing: RoutingTable,
+def moe_forward(attn_out: Tensor, experts: ExpertSet, routing: RoutingTable | None,
                 token_ids: np.ndarray, mask: np.ndarray) -> Tensor:
-    """MoE FFN sublayer output (pre-residual) for one layer, as one ``moe_ffn`` node.
+    """FFN sublayer output (pre-residual) for one layer, as one ``moe_ffn`` node.
 
-    Hash strategies route each token by its id with weight 1; the gate routes
+    Without routing (a dense layer) every token goes to expert 0. Hash
+    strategies route each token by its id with weight 1; the gate routes
     whole sentences to their argmax expert, scaling the output by the selected
     probability so the gate weight receives gradient (through that entry only).
     """
     weights = (experts.w1, experts.b1, experts.w2, experts.b2)
+    if routing is None:
+        return moe_ffn(attn_out, np.zeros(attn_out.shape[:-1], dtype=np.int64), *weights)
     if routing.strategy != GATE:
         if token_ids.max(initial=0) >= len(routing.table):
             raise MoEError("token id outside the routing table")

@@ -154,7 +154,7 @@ def adapt_model(teacher: EncoderModel, table: ImportanceTable, moe: MoEConfig,
                                     seed, cfg.embed_dim)
     for l, (s_layer, t_layer) in enumerate(zip(student.layers, teacher.layers)):
         ffn = t_layer.ffn
-        s_layer.ffn = adapt_ffn(ffn.w1.data, ffn.b1.data, ffn.w2.data, ffn.b2.data,
+        s_layer.ffn = adapt_ffn(ffn.w1[0].data, ffn.b1[0].data, ffn.w2[0].data, ffn.b2[0].data,
                                 ordering[l], moe.num_experts, moe.shared_dim,
                                 mode=mode, rng=rng)
         if moe.routing == GATE:

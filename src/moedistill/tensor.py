@@ -307,57 +307,15 @@ def gelu(a) -> Tensor:
     return _make("gelu", out, [(a, lambda g: g * _gelu_grad(x, t))])
 
 
-def ffn(a, w1, b1, w2, b2) -> Tensor:
-    """Two-layer FFN ``GELU(a·W1 + b1)·W2 + b2`` as one graph node.
-
-    ``a`` is (..., d); W1 is d × d_h, W2 is d_h × d_out. The leading axes are
-    flattened into one GEMM per layer, and each weight gradient is a single
-    2-D GEMM over all rows. The pre-activation and the GELU tanh term are
-    kept only when a graph is recorded.
-    """
-    a, w1, b1, w2, b2 = (as_tensor(x) for x in (a, w1, b1, w2, b2))
-    if (a.ndim < 1 or w1.ndim != 2 or w2.ndim != 2 or a.shape[-1] != w1.shape[0]
-            or w2.shape[0] != w1.shape[1] or b1.shape != (w1.shape[1],)
-            or b2.shape != (w2.shape[1],)):
-        raise ShapeError("ffn", a.shape, w1.shape, b1.shape, w2.shape, b2.shape)
-    d, d_out = w1.shape[0], w2.shape[1]
-    a2 = a.data.reshape(-1, d)
-    z = a2 @ w1.data
-    z += b1.data
-    # the rule ``_make`` applies: a node is recorded iff some input is on a graph
-    record = _grad_enabled and any(x.requires_grad or x._parents for x in (a, w1, b1, w2, b2))
-    h, t = _gelu_tanh(z, keep_t=record)
-    y = h @ w2.data
-    y += b2.data
-    out = y.reshape(a.shape[:-1] + (d_out,))
-    if not record:
-        return _make("ffn", out, [])
-
-    memo = [None, None]  # (output gradient, dz): dz is shared by a, W1 and b1
-
-    def dz(g):
-        if memo[0] is not g:
-            dz_ = g.reshape(-1, d_out) @ w2.data.T
-            dz_ *= _gelu_grad(z, t)
-            memo[0], memo[1] = g, dz_
-        return memo[1]
-
-    return _make("ffn", out, [
-        (a, lambda g: (dz(g) @ w1.data.T).reshape(a.shape)),
-        (w1, lambda g: a2.T @ dz(g)),
-        (b1, lambda g: dz(g).sum(axis=0)),
-        (w2, lambda g: h.T @ g.reshape(-1, d_out)),
-        (b2, lambda g: g.reshape(-1, d_out).sum(axis=0)),
-    ])
-
-
 def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None) -> Tensor:
     """``y[r] = scale[r] · FFN_{route[r]}(a[r])`` over the rows of ``a`` (..., d), as one graph node.
 
-    ``route`` (shape ``a.shape[:-1]``, like ``scale``) picks each row's expert
-    among ``ffn`` weight sets of one width, ``w1s[e]``, ..., ``b2s[e]``. One
-    stable argsort groups the rows by expert; each expert runs its GEMMs on
-    its contiguous slice, GELU runs once over all of them, and one inverse
+    ``FFN_e(x) = GELU(x·W1_e + b1_e)·W2_e + b2_e`` with ``w1s[e]`` (d × k),
+    ..., ``b2s[e]``; every expert has width k. ``route`` (shape ``a.shape[:-1]``,
+    like ``scale``) picks each row's expert; a dense FFN is one expert and a
+    zero route. One stable argsort groups the rows by expert (skipped, with
+    both gathers, when one expert takes every row); each expert runs its GEMMs
+    on its contiguous slice, GELU runs once over all of them, and one inverse
     permutation restores row order. No row is dropped. An expert that no row
     reaches gets no gradient (its grad stays None).
     """
@@ -376,10 +334,14 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None) -> Tensor:
         raise ValueError(f"moe_ffn: route outside [0, {len(experts)})")
     ends = itertools.accumulate(counts)
     spans = [(e, end - c, end) for e, (c, end) in enumerate(zip(counts, ends)) if c]
-    order = np.argsort(flat, kind="stable")
-    inv = np.argsort(order)  # row r of the input sits at inv[r] in expert order
+    if len(spans) > 1:
+        order = np.argsort(flat, kind="stable")
+        inv = np.argsort(order)  # row r of the input sits at inv[r] in expert order
+    else:  # one expert takes every row: the rows are already in expert order
+        order = inv = slice(None)
     xs = a.data.reshape(-1, d)[order]
     params = [a] + [x for ws in experts for x in ws] + ([] if scale is None else [scale])
+    # the rule ``_make`` applies: a node is recorded iff some input is on a graph
     record = _grad_enabled and any(x.requires_grad or x._parents for x in params)
     z = np.empty((flat.size, k))
     for e, lo, hi in spans:

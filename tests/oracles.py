@@ -1,4 +1,5 @@
-"""Reference implementations kept as test oracles for the ops that replaced them."""
+"""Reference implementations kept as test oracles for the ops that replaced them,
+and the dense FFN as the tests call it."""
 
 import numpy as np
 
@@ -18,9 +19,19 @@ def scatter_rows(values, idx, num_rows: int) -> T.Tensor:
     return T._make("scatter", out, [(values, lambda g: g[idx])])
 
 
+def one_expert_ffn(a, w1, b1, w2, b2) -> T.Tensor:
+    """A dense FFN through ``moe_ffn``: one expert and a zero route."""
+    return T.moe_ffn(a, np.zeros(a.shape[:-1], dtype=np.int64), [w1], [b1], [w2], [b2])
+
+
+def composed_ffn(a, w1, b1, w2, b2) -> T.Tensor:
+    """The two-layer FFN as its five-op chain; the oracle for the fused ``moe_ffn``."""
+    return T.add(T.matmul(T.gelu(T.add(T.matmul(a, w1), b1)), w2), b2)
+
+
 def moe_forward_per_expert(attn_out, experts, routing, token_ids, mask) -> T.Tensor:
     """The per-expert dispatch that ``moe.moe_forward`` used before ``moe_ffn``:
-    a ``take``, an ``ffn`` and a ``scatter_rows`` per expert, summed with ``add``."""
+    a ``take``, a ``composed_ffn`` and a ``scatter_rows`` per expert, summed with ``add``."""
     batch, seq, d = attn_out.shape
     if routing.strategy == M.GATE:
         repr_ = T.masked_mean_rows(attn_out, mask)
@@ -32,8 +43,8 @@ def moe_forward_per_expert(attn_out, experts, routing, token_ids, mask) -> T.Ten
             idx = np.flatnonzero(sel == e)
             if idx.size == 0:
                 continue
-            y = T.ffn(T.take(attn_out, idx, axis=0), experts.w1[e], experts.b1[e],
-                      experts.w2[e], experts.b2[e])
+            y = composed_ffn(T.take(attn_out, idx, axis=0), experts.w1[e], experts.b1[e],
+                             experts.w2[e], experts.b2[e])
             p_e = T.reshape(T.take(probs, idx, axis=0), (idx.size, experts.num_experts))
             p_sel = T.reshape(T.take(p_e, np.asarray([e]), axis=1), (idx.size, 1, 1))
             out_parts.append(T.mul(y, p_sel))
@@ -55,8 +66,8 @@ def moe_forward_per_expert(attn_out, experts, routing, token_ids, mask) -> T.Ten
         idx = np.flatnonzero(route == e)
         if idx.size == 0:
             continue
-        y = T.ffn(T.take(flat, idx, axis=0), experts.w1[e], experts.b1[e],
-                  experts.w2[e], experts.b2[e])
+        y = composed_ffn(T.take(flat, idx, axis=0), experts.w1[e], experts.b1[e],
+                         experts.w2[e], experts.b2[e])
         piece = scatter_rows(y, idx, batch * seq)
         total = piece if total is None else T.add(total, piece)
     return T.reshape(total, (batch, seq, d))

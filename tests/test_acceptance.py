@@ -177,15 +177,15 @@ def _build_trend_run(seed):
                     train_cfg(epochs=16, learning_rate=2e-3, seed=seed))
     acc = D.evaluate_accuracy(teacher, ev)
 
-    saved = [(l.ffn.w1.data.copy(), l.ffn.b1.data.copy(), l.ffn.w2.data.copy())
+    saved = [(l.ffn.w1[0].data.copy(), l.ffn.b1[0].data.copy(), l.ffn.w2[0].data.copy())
              for l in teacher.layers]
     for l in teacher.layers:
-        l.ffn.w1.data[:] = 0.0
-        l.ffn.b1.data[:] = 0.0
-        l.ffn.w2.data[:] = 0.0
+        l.ffn.w1[0].data[:] = 0.0
+        l.ffn.b1[0].data[:] = 0.0
+        l.ffn.w2[0].data[:] = 0.0
     drop = acc - D.evaluate_accuracy(teacher, ev)
     for l, (w1, b1, w2) in zip(teacher.layers, saved):
-        l.ffn.w1.data[:], l.ffn.b1.data[:], l.ffn.w2.data[:] = w1, b1, w2
+        l.ffn.w1[0].data[:], l.ffn.b1[0].data[:], l.ffn.w2[0].data[:] = w1, b1, w2
     assert drop >= 0.05, (
         f"seed {seed}: teacher ignores its FFNs (ablation drop {drop:.3f}), "
         "adaptation comparisons would be vacuous")

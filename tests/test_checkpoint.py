@@ -1,5 +1,11 @@
+import functools
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moedistill import checkpoint as C
 from moedistill.importance import ImportanceTable
@@ -89,6 +95,17 @@ def test_version_mismatch_rejected(tmp_path):
         C.load_checkpoint(path)
 
 
+def test_header_length_past_end_rejected(tmp_path):
+    # checked before the read, which would otherwise be sized by the bad length
+    path = str(tmp_path / "m.ckpt")
+    C.save_checkpoint(dense_model(), path)
+    blob = bytearray(open(path, "rb").read())
+    blob[8:12] = struct.pack("<I", 2**32 - 1)
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(C.CheckpointError, match="past the end"):
+        C.load_checkpoint(path)
+
+
 def test_routing_tables_exact_after_roundtrip(tmp_path):
     model = moe_model("hash_balanced")
     path = str(tmp_path / "m.ckpt")
@@ -111,3 +128,37 @@ def test_header_carries_metadata(tmp_path):
     assert header["config"]["embed_dim"] == 16
     names = [m["name"] for m in header["manifest"]]
     assert "tok_emb" in names and "layer0.ffn_w1" in names
+
+
+def test_dense_header_has_null_provenance(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    C.save_checkpoint(dense_model(), path)
+    assert C.read_header(path)["provenance"] == [None, None]
+
+
+@functools.lru_cache(maxsize=None)
+def small_moe_bytes() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        C.save_checkpoint(moe_model(), path)
+        return open(path, "rb").read()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_corrupted_bytes_load_or_raise_checkpoint_error(data):
+    blob = small_moe_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        corrupt = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:  # flip bits in the prefix or the JSON header; the payload has a checksum
+        header_end = 12 + struct.unpack("<I", blob[8:12])[0]
+        corrupt = bytearray(blob)
+        for _ in range(data.draw(st.integers(1, 3), label="flips")):
+            corrupt[data.draw(st.integers(0, header_end - 1))] ^= data.draw(st.integers(1, 255))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        open(path, "wb").write(bytes(corrupt))
+        try:
+            C.load_checkpoint(path)
+        except C.CheckpointError:
+            pass

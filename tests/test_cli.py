@@ -1,5 +1,7 @@
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
 
@@ -111,6 +113,58 @@ class TestErrors:
         assert rc == 1
         msg = json.loads(capsys.readouterr().err)["message"]
         assert "importance" in msg
+
+
+def rewrite_header(path, edit):
+    """Replace a checkpoint's JSON header with ``edit(header bytes)``, keeping
+    its prefix and payload."""
+    blob = open(path, "rb").read()
+    hlen = struct.unpack("<I", blob[8:12])[0]
+    new = edit(blob[12:12 + hlen])
+    open(path, "wb").write(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
+
+
+def set_entry(keys, value):
+    """A header edit that sets the JSON entry reached by ``keys`` to ``value``."""
+    def edit(raw):
+        header = json.loads(raw)
+        node = header
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return json.dumps(header).encode("utf-8")
+    return edit
+
+
+@pytest.fixture(scope="module")
+def adapted_run(tmp_path_factory):
+    """A config whose out dir holds a teacher, importance table and student_init."""
+    root = tmp_path_factory.mktemp("adapted")
+    cfg = write_config(root)
+    for command in ["train-teacher", "importance", "adapt"]:
+        assert cli.main([command, "--config", cfg]) == 0
+    return cfg, root / "out"
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("corrupt", [
+        lambda p: rewrite_header(p, set_entry(["routing", 0, "table", 5], 7)),  # of 4 experts
+        lambda p: open(p, "wb").write(b"MOEB\x01"),
+        lambda p: rewrite_header(p, lambda raw: b"{oops"),
+        lambda p: rewrite_header(p, set_entry(["provenance", 0, 1, 0], 999)),  # of 64 columns
+    ], ids=["table-entry-out-of-range", "five-byte-file", "header-not-json",
+            "provenance-out-of-range"])
+    def test_eval_reports_one_checkpoint_error(self, adapted_run, tmp_path, capsys, corrupt):
+        cfg, out = adapted_run
+        shutil.copytree(out, tmp_path / "out")
+        corrupt(str(tmp_path / "out" / "student_init.ckpt"))
+        capsys.readouterr()
+        rc = cli.main(["eval", "--config", cfg, "--out", str(tmp_path / "out"),
+                       "--which", "student_init"])
+        assert rc == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "CheckpointError"
 
 
 class TestStages:

@@ -88,8 +88,8 @@ class TestAccumulate:
 
             for j in range(3):
                 term = 0.0
-                for arr, coords in ((ffn.w1.data, [(i, j) for i in range(2)]),
-                                    (ffn.w2.data, [(j, i) for i in range(2)])):
+                for arr, coords in ((ffn.w1[0].data, [(i, j) for i in range(2)]),
+                                    (ffn.w2[0].data, [(j, i) for i in range(2)])):
                     for c in coords:
                         orig = arr[c]
                         arr[c] = orig + step
@@ -121,9 +121,9 @@ class TestOracle:
     def test_dead_neuron_has_zero_delta(self):
         model = tiny_model(seed=4)
         ffn = model.layers[0].ffn
-        ffn.w1.data[:, 2] = 0.0
-        ffn.b1.data[2] = 0.0
-        ffn.w2.data[2, :] = 0.0
+        ffn.w1[0].data[:, 2] = 0.0
+        ffn.b1[0].data[2] = 0.0
+        ffn.w2[0].data[2, :] = 0.0
         delta = imp.importance_oracle(model, tiny_dataset(seed=4), 0, 2)
         assert delta == 0.0
 
@@ -134,9 +134,9 @@ class TestOracle:
     def test_weights_restored_after_oracle(self):
         model = tiny_model(seed=5)
         ds = tiny_dataset(seed=5)
-        before = model.layers[0].ffn.w1.data.copy()
+        before = model.layers[0].ffn.w1[0].data.copy()
         imp.importance_oracle(model, ds, 0, 1)
-        np.testing.assert_array_equal(model.layers[0].ffn.w1.data, before)
+        np.testing.assert_array_equal(model.layers[0].ffn.w1[0].data, before)
 
     def test_zeroing_all_neurons_matches_degenerate_ffn(self):
         # with every neuron removed the FFN contributes only b2
@@ -144,32 +144,32 @@ class TestOracle:
         ds = tiny_dataset(n=3, seed=6)
         ffn = model.layers[0].ffn
 
-        saved = (ffn.w1.data.copy(), ffn.b1.data.copy(), ffn.w2.data.copy())
-        ffn.w1.data[:] = 0.0
-        ffn.b1.data[:] = 0.0
-        ffn.w2.data[:] = 0.0
+        saved = (ffn.w1[0].data.copy(), ffn.b1[0].data.copy(), ffn.w2[0].data.copy())
+        ffn.w1[0].data[:] = 0.0
+        ffn.b1[0].data[:] = 0.0
+        ffn.w2[0].data[:] = 0.0
         ablated = 0.0
         with T.no_grad():
             for ex in ds.examples:
                 ids, mask, labels = pad_batch([ex])
                 logits, _ = model.forward(ids, mask)
                 ablated += T.cross_entropy_logits(logits, labels).item()
-        ffn.w1.data, ffn.b1.data, ffn.w2.data = saved
+        ffn.w1[0].data, ffn.b1[0].data, ffn.w2[0].data = saved
 
         # degenerate oracle: identical model whose FFN output is b2 broadcast
         import math
-        b2 = ffn.b2.data
+        b2 = ffn.b2[0].data
         pre = np.zeros(6)
         gelu0 = 0.5 * pre * (1 + np.tanh(math.sqrt(2 / math.pi) * pre))
         assert np.allclose(gelu0 @ saved[2], 0.0)  # GELU(0) W2 term vanishes
         degenerate = 0.0
         orig_forward = model.layers[0].ffn
-        from moedistill.model import DenseFFN
+        from moedistill.moe import ExpertSet
         from moedistill.tensor import Tensor
-        model.layers[0].ffn = DenseFFN(Tensor(np.zeros((4, 6))),
-                                       Tensor(np.zeros(6)),
-                                       Tensor(np.zeros((6, 4))),
-                                       Tensor(b2.copy()))
+        model.layers[0].ffn = ExpertSet([Tensor(np.zeros((4, 6)))],
+                                        [Tensor(np.zeros(6))],
+                                        [Tensor(np.zeros((6, 4)))],
+                                        [Tensor(b2.copy())], provenance=None)
         with T.no_grad():
             for ex in ds.examples:
                 ids, mask, labels = pad_batch([ex])

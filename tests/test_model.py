@@ -6,11 +6,12 @@ import pytest
 
 from moedistill import tensor as T
 from moedistill.importance import ImportanceTable
-from moedistill.model import (EncoderModel, ModelConfig, MoEConfig, ffn_forward,
+from moedistill.model import (EncoderModel, ModelConfig, MoEConfig,
                               effective_param_count, flops_breakdown,
                               total_param_count)
 from moedistill.pipeline import adapt_model
 from moedistill.tensor import Tensor, ShapeError, NonFiniteError
+from oracles import one_expert_ffn
 
 
 def small_cfg(**kw):
@@ -32,16 +33,16 @@ def rand_batch(cfg, batch=3, seq=8, seed=0):
 class TestFFNForward:
     def test_zero_input_zero_bias_gives_zeros(self):
         d, dh = 4, 6
-        out = ffn_forward(Tensor(np.zeros((2, 3, d))),
-                          Tensor(np.zeros((d, dh))), Tensor(np.zeros(dh)),
-                          Tensor(np.zeros((dh, d))), Tensor(np.zeros(d)))
+        out = one_expert_ffn(Tensor(np.zeros((2, 3, d))),
+                             Tensor(np.zeros((d, dh))), Tensor(np.zeros(dh)),
+                             Tensor(np.zeros((dh, d))), Tensor(np.zeros(d)))
         np.testing.assert_array_equal(out.data, np.zeros((2, 3, d)))
 
     def test_identity_weights_zero_row(self):
         d = 5
-        out = ffn_forward(Tensor(np.zeros((1, 1, d))),
-                          Tensor(np.eye(d)), Tensor(np.zeros(d)),
-                          Tensor(np.eye(d)), Tensor(np.zeros(d)))
+        out = one_expert_ffn(Tensor(np.zeros((1, 1, d))),
+                             Tensor(np.eye(d)), Tensor(np.zeros(d)),
+                             Tensor(np.eye(d)), Tensor(np.zeros(d)))
         np.testing.assert_array_equal(out.data, np.zeros((1, 1, d)))
 
     def test_matches_straight_line_oracle(self):
@@ -50,7 +51,7 @@ class TestFFNForward:
         a = rng.normal(size=(2, 4, d))
         w1, b1 = rng.normal(size=(d, dh)), rng.normal(size=dh)
         w2, b2 = rng.normal(size=(dh, d)), rng.normal(size=d)
-        out = ffn_forward(Tensor(a), Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2))
+        out = one_expert_ffn(Tensor(a), Tensor(w1), Tensor(b1), Tensor(w2), Tensor(b2))
         # straight-line reimplementation, no graph machinery
         pre = a @ w1 + b1
         h = 0.5 * pre * (1 + np.tanh(math.sqrt(2 / math.pi) * (pre + 0.044715 * pre ** 3)))
@@ -58,9 +59,9 @@ class TestFFNForward:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ffn_forward(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((5, 6))),
-                        Tensor(np.zeros(6)), Tensor(np.zeros((6, 4))),
-                        Tensor(np.zeros(4)))
+            one_expert_ffn(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((5, 6))),
+                           Tensor(np.zeros(6)), Tensor(np.zeros((6, 4))),
+                           Tensor(np.zeros(4)))
 
 
 class TestEncoderForward:
@@ -115,6 +116,16 @@ class TestParamCounting:
         cfg = small_cfg()
         model = EncoderModel(cfg, seed=0)
         assert model.count_effective_params() == model.count_total_params()
+
+    def test_dense_parameter_names(self):
+        # checkpoints and outside readers address a dense FFN by these names
+        per_layer = ["wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "attn_ln_g",
+                     "attn_ln_b", "ffn_ln_g", "ffn_ln_b", "ffn_w1", "ffn_b1", "ffn_w2",
+                     "ffn_b2"]
+        want = (["tok_emb", "pos_emb", "emb_ln_g", "emb_ln_b"]
+                + [f"layer{i}.{n}" for i in range(2) for n in per_layer]
+                + ["pool_w", "pool_b", "cls_w", "cls_b"])
+        assert list(EncoderModel(small_cfg(), seed=0).named_parameters()) == want
 
     def test_moe_effective_equals_activated_tensor_enumeration(self):
         moe = MoEConfig(num_experts=4, expert_dim=8, shared_dim=2,

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from moedistill import tensor as T
 from moedistill.tensor import Tensor, ShapeError, NonFiniteError
-from oracles import scatter_rows
+from oracles import composed_ffn, one_expert_ffn, scatter_rows
 
 
 def rand(shape, seed):
@@ -138,11 +138,6 @@ def assert_rel_close(actual, expected, rel):
     assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
 
 
-def composed_ffn(a, w1, b1, w2, b2):
-    """The five-op chain that ``T.ffn`` fuses; the oracle for the fused op."""
-    return T.add(T.matmul(T.gelu(T.add(T.matmul(a, w1), b1)), w2), b2)
-
-
 def ffn_params(lead, seed, d=3, dh=7, dout=4):
     rng = np.random.default_rng(seed)
     shapes = [lead + (d,), (d, dh), (dh,), (dh, dout), (dout,)]
@@ -154,7 +149,7 @@ class TestFusedFFN:
     def test_forward_and_gradients_match_composed_chain(self, lead):
         weight = Tensor(rand(lead + (4,), 9))
         results = []
-        for op in (T.ffn, composed_ffn):
+        for op in (one_expert_ffn, composed_ffn):
             params = ffn_params(lead, seed=len(lead))
             out = op(*params)
             T.tsum(T.mul(out, weight)).backward()
@@ -168,7 +163,7 @@ class TestFusedFFN:
         weight = Tensor(rand((2, 3, 4), seed + 100))
 
         def f():
-            return T.tsum(T.mul(T.ffn(*params), weight))
+            return T.tsum(T.mul(one_expert_ffn(*params), weight))
 
         err = T.finite_diff_check(f, params, n_samples=40,
                                   rng=np.random.default_rng(seed))
@@ -177,13 +172,13 @@ class TestFusedFFN:
     def test_no_grad_records_no_parents(self):
         params = ffn_params((2, 3), 0)
         with T.no_grad():
-            out = T.ffn(*params)
+            out = one_expert_ffn(*params)
         assert out._parents == [] and not out.requires_grad
 
     def test_mismatched_weights_raise(self):
         a, w1, b1, _, b2 = ffn_params((2,), 0)
         with pytest.raises(ShapeError, match="ffn"):
-            T.ffn(a, w1, b1, Tensor(np.zeros((6, 4))), b2)
+            one_expert_ffn(a, w1, b1, Tensor(np.zeros((6, 4))), b2)
 
     def test_gelu_matches_closed_form_with_pow_cube(self):
         x = np.linspace(-12.0, 12.0, 4801)
@@ -221,7 +216,7 @@ class TestMoeFFN:
         for b in range(2):
             for t in range(5):
                 e = self.ROUTE[b, t]
-                row = T.ffn(Tensor(a[b, t]), *(w[e] for w in weights)).data
+                row = composed_ffn(Tensor(a[b, t][None]), *(w[e] for w in weights)).data[0]
                 assert_rel_close(out.data[b, t], scale[b, t] * row, 1e-12)
 
     @pytest.mark.parametrize("with_scale", [False, True])
@@ -241,6 +236,32 @@ class TestMoeFFN:
                                   rng=np.random.default_rng(seed))
         assert err <= 1e-6
         assert all(ws[2].grad is None for ws in weights)  # the idle expert
+
+    @pytest.mark.parametrize("with_scale", [False, True])
+    def test_every_row_on_one_expert_matches_its_composed_ffn(self, with_scale):
+        # one busy expert: the rows are already in expert order, so no sort
+        route = np.full((2, 5), 2)
+        weights = moe_ffn_params(4, 5)
+        weight = Tensor(rand((2, 5, 4), 6))
+        results = []
+        for fused in (True, False):
+            a = Tensor(rand((2, 5, 3), 4), requires_grad=True)
+            scale = Tensor(rand((2, 5), 7), requires_grad=True) if with_scale else None
+            if fused:
+                out = T.moe_ffn(a, route, *weights, scale=scale)
+            else:
+                out = composed_ffn(a, *(ws[2] for ws in weights))
+                if with_scale:
+                    out = T.mul(out, T.reshape(scale, (2, 5, 1)))
+            T.tsum(T.mul(out, weight)).backward()
+            results.append([out.data, a.grad] + [ws[2].grad for ws in weights]
+                           + ([scale.grad] if with_scale else []))
+            if fused:
+                assert all(ws[e].grad is None for ws in weights for e in (0, 1, 3))
+            for ws in weights:
+                ws[2].zero_grad()
+        for fused, oracle in zip(*results):
+            assert_rel_close(fused, oracle, 1e-12)
 
     def test_no_grad_records_no_parents(self):
         with T.no_grad():
