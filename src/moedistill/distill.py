@@ -1,4 +1,4 @@
-"""Layer-wise distillation losses and the training loops.
+"""Layer-wise distillation losses and the training loop.
 
 The student objective per batch is CE + lambda * (L_trm + L_pred):
 L_trm sums masked MSE between student and teacher hidden states over the
@@ -8,14 +8,14 @@ the symmetric KL between the two prediction distributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
 from .data import Dataset, iter_batches
-from .model import EncoderModel, LayerOutputs
+from .model import EncoderModel, LayerOutputs, require_int
 
 LAYER_SETS = ("all", "last", "skip")
 
@@ -36,17 +36,13 @@ class DistillConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda_distill < 0:
-            raise ValueError("lambda_distill must be non-negative")
+        if not 0 <= self.lambda_distill < np.inf:
+            raise ValueError("lambda_distill must be finite and non-negative")
         if self.layer_set not in LAYER_SETS:
             raise ValueError(f"layer_set must be one of {LAYER_SETS}")
-
-    def to_dict(self):
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+        require_int("batch_size", self.batch_size, 1)
+        require_int("epochs", self.epochs, 0)
+        require_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -152,29 +148,21 @@ def evaluate_accuracy(model: EncoderModel, dataset: Dataset, batch_size: int = 3
     return correct / len(dataset)
 
 
-def _emit(sink, record: dict):
-    if sink is None:
-        return
-    if callable(sink):
-        sink(record)
-    else:
-        sink.append(record)
-
-
-def train_teacher(model: EncoderModel, train: Dataset, config: DistillConfig,
-                  eval_set: Dataset | None = None, metrics_sink=None) -> EncoderModel:
-    """Plain cross-entropy fine-tuning of the dense teacher."""
+def _train(model: EncoderModel, batch_loss, phase: str, train: Dataset,
+           config: DistillConfig, eval_set: Dataset | None, metrics_sink) -> EncoderModel:
+    """The loop of both phases. ``batch_loss(ids, mask, labels, rng)`` returns the
+    batch objective and its (ce, trm, pred) parts; each epoch's record has their
+    means and ``total = ce + lambda * (trm + pred)``."""
     params = model.parameters()
     opt = Adam(params, config.learning_rate, weight_decay=config.weight_decay)
     rng = np.random.default_rng(config.seed)
     step = 0
     for epoch in range(config.epochs):
-        epoch_ce = 0.0
+        sums = np.zeros(3)
         n_batches = 0
         for ids, mask, labels in iter_batches(train, config.batch_size, rng):
             model.zero_grads()
-            logits, _ = model.forward(ids, mask, training=True, rng=rng)
-            loss = T.cross_entropy_logits(logits, labels)
+            loss, parts = batch_loss(ids, mask, labels, rng)
             if not np.isfinite(loss.item()):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch} step {step}")
             loss.backward()
@@ -183,14 +171,28 @@ def train_teacher(model: EncoderModel, train: Dataset, config: DistillConfig,
             if not np.isfinite(clip_gradients(params, config.grad_clip_norm)):
                 raise TrainingDiverged(f"non-finite gradient norm at epoch {epoch} step {step}")
             opt.step()
-            epoch_ce += loss.item()
+            sums += parts
             n_batches += 1
             step += 1
         acc = evaluate_accuracy(model, eval_set) if eval_set is not None else None
-        _emit(metrics_sink, {"phase": "teacher", "epoch": epoch, "step": step,
-                             "ce": epoch_ce / n_batches, "trm": 0.0, "pred": 0.0,
-                             "total": epoch_ce / n_batches, "eval_acc": acc})
+        if metrics_sink is not None:
+            ce, trm, pred = (float(v) for v in sums / n_batches)
+            metrics_sink.append({"phase": phase, "epoch": epoch, "step": step,
+                                 "ce": ce, "trm": trm, "pred": pred,
+                                 "total": ce + config.lambda_distill * (trm + pred),
+                                 "eval_acc": acc})
     return model
+
+
+def train_teacher(model: EncoderModel, train: Dataset, config: DistillConfig,
+                  eval_set: Dataset | None = None, metrics_sink=None) -> EncoderModel:
+    """Plain cross-entropy fine-tuning of the dense teacher."""
+    def batch_loss(ids, mask, labels, rng):
+        logits, _ = model.forward(ids, mask, training=True, rng=rng)
+        loss = T.cross_entropy_logits(logits, labels)
+        return loss, (loss.item(), 0.0, 0.0)
+
+    return _train(model, batch_loss, "teacher", train, config, eval_set, metrics_sink)
 
 
 def distill_batch_loss(student: EncoderModel, teacher: EncoderModel,
@@ -217,31 +219,9 @@ def train_student(student: EncoderModel, teacher: EncoderModel, train: Dataset,
                   config: DistillConfig, eval_set: Dataset | None = None,
                   metrics_sink=None) -> EncoderModel:
     """Distillation training of the adapted student; teacher stays frozen."""
-    params = student.parameters()
-    opt = Adam(params, config.learning_rate, weight_decay=config.weight_decay)
-    rng = np.random.default_rng(config.seed)
-    step = 0
-    for epoch in range(config.epochs):
-        sums = np.zeros(3)
-        n_batches = 0
-        for ids, mask, labels in iter_batches(train, config.batch_size, rng):
-            student.zero_grads()
-            total, report = distill_batch_loss(student, teacher, ids, mask, labels,
-                                               config, rng=rng)
-            if not np.isfinite(total.item()):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch} step {step}")
-            total.backward()
-            if not np.isfinite(clip_gradients(params, config.grad_clip_norm)):
-                raise TrainingDiverged(f"non-finite gradient norm at epoch {epoch} step {step}")
-            opt.step()
-            sums += (report.ce, report.trm, report.pred)
-            n_batches += 1
-            step += 1
-        acc = evaluate_accuracy(student, eval_set) if eval_set is not None else None
-        ce, trm, pred = (float(v) for v in sums / n_batches)
-        _emit(metrics_sink, {"phase": "student", "epoch": epoch, "step": step,
-                             "ce": ce, "trm": trm, "pred": pred,
-                             "total": ce + config.lambda_distill * (trm + pred),
-                             "eval_acc": acc})
-    return student
+    def batch_loss(ids, mask, labels, rng):
+        total, report = distill_batch_loss(student, teacher, ids, mask, labels,
+                                           config, rng=rng)
+        return total, (report.ce, report.trm, report.pred)
 
+    return _train(student, batch_loss, "student", train, config, eval_set, metrics_sink)

@@ -11,13 +11,20 @@ X^l post-layernorm).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, ShapeError
-from .moe import ExpertSet, RoutingTable, moe_forward, GATE
+from .moe import ExpertSet, RoutingTable, moe_forward, GATE, STRATEGIES
+
+
+def require_int(name: str, value, low: int) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -27,13 +34,13 @@ class MoEConfig:
     shared_dim: int
     routing: str  # hash_random | hash_balanced | gate
 
-    def to_dict(self):
-        return {"num_experts": self.num_experts, "expert_dim": self.expert_dim,
-                "shared_dim": self.shared_dim, "routing": self.routing}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
+    def __post_init__(self):
+        for name, low in (("num_experts", 1), ("expert_dim", 1), ("shared_dim", 0)):
+            require_int(name, getattr(self, name), low)
+        if self.shared_dim > self.expert_dim:
+            raise ValueError(f"shared_dim={self.shared_dim} exceeds expert_dim={self.expert_dim}")
+        if self.routing not in STRATEGIES:
+            raise ValueError(f"routing must be one of {STRATEGIES}, got {self.routing!r}")
 
 
 @dataclass
@@ -49,28 +56,26 @@ class ModelConfig:
     moe: MoEConfig | None = None
 
     def __post_init__(self):
+        for name in ("vocab_size", "embed_dim", "ffn_hidden", "num_layers", "num_heads",
+                     "max_seq_len", "num_labels"):
+            require_int(name, getattr(self, name), 1)
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if self.embed_dim % self.num_heads != 0:
-            raise ShapeError("config", (self.embed_dim,), (self.num_heads,))
-        if self.moe is not None:
-            if self.moe.expert_dim > self.ffn_hidden:
-                raise ValueError("expert_dim exceeds ffn_hidden")
-            if self.moe.shared_dim > self.moe.expert_dim:
-                raise ValueError("shared_dim exceeds expert_dim")
-            if self.moe.num_experts < 1:
-                raise ValueError("need at least one expert")
+            raise ShapeError("num_heads must divide embed_dim", (self.embed_dim,),
+                             (self.num_heads,))
+        if self.moe is not None and self.moe.expert_dim > self.ffn_hidden:
+            raise ValueError(f"expert_dim={self.moe.expert_dim} exceeds "
+                             f"ffn_hidden={self.ffn_hidden}")
 
     def to_dict(self):
-        d = {k: getattr(self, k) for k in
-             ("vocab_size", "embed_dim", "ffn_hidden", "num_layers", "num_heads",
-              "max_seq_len", "num_labels", "dropout")}
-        d["moe"] = self.moe.to_dict() if self.moe else None
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
         moe = d.pop("moe", None)
-        return cls(moe=MoEConfig.from_dict(moe) if moe else None, **d)
+        return cls(moe=MoEConfig(**moe) if moe else None, **d)
 
 
 @dataclass

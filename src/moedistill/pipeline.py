@@ -12,7 +12,7 @@ import copy
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from .data import (Dataset, Vocab, build_vocab, encode_dataset, gen_synthetic_ta
 from .distill import DistillConfig, evaluate_accuracy, train_student, train_teacher
 from .importance import ImportanceTable, accumulate_importance
 from .model import (EncoderModel, ModelConfig, MoEConfig, effective_param_count,
-                    flops_breakdown, total_param_count)
-from .moe import (ADAPT_IMPORTANCE, GATE, RoutingTable, adapt_ffn, build_routing,
-                  routing_loads)
+                    flops_breakdown, require_int, total_param_count)
+from .moe import (ADAPT_IMPORTANCE, ADAPT_MODES, GATE, RoutingTable, adapt_ffn,
+                  build_routing, routing_loads)
 
 
 class ConfigError(ValueError):
@@ -62,19 +62,25 @@ class RunConfig:
         return cls(**doc)
 
     def validate(self):
-        """Reject expert settings no stage can use, before any stage runs."""
-        for name, low in (("num_experts", 1), ("shared_dim", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        """Build each config object the stages build: a bad setting fails before any stage."""
+        section = ""
+        try:
+            require_int("num_experts", self.num_experts, 1)  # moe_config divides by it
+            if self.adaptation not in ADAPT_MODES:
+                raise ValueError(f"adaptation must be one of {ADAPT_MODES}")
+            # the data decides vocab_size and num_labels; any valid value stands in
+            dense = self.model_config(vocab_size=1, num_labels=1)
+            replace(dense, moe=self.moe_config(dense.ffn_hidden))
+            for which in ("teacher", "student"):
+                section = f"{which}_train: "
+                self.distill_config(which)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{section}{exc}") from None
 
-    def model_config(self, vocab_size: int, num_labels: int,
-                     moe: MoEConfig | None = None) -> ModelConfig:
+    def model_config(self, vocab_size: int, num_labels: int) -> ModelConfig:
         # fields the config leaves out take ModelConfig's defaults
-        cfg = ModelConfig.from_dict({**self.model, "vocab_size": vocab_size,
-                                     "num_labels": num_labels, "moe": None})
-        cfg.moe = moe
-        return cfg
+        return ModelConfig(**{**self.model, "vocab_size": vocab_size,
+                              "num_labels": num_labels, "moe": None})
 
     def moe_config(self, ffn_hidden: int) -> MoEConfig:
         return MoEConfig(num_experts=self.num_experts,
@@ -84,9 +90,7 @@ class RunConfig:
 
     def distill_config(self, which: str) -> DistillConfig:
         base = self.teacher_train if which == "teacher" else self.student_train
-        cfg = DistillConfig.from_dict(dict(base)) if base else DistillConfig()
-        cfg.seed = self.seed
-        return cfg
+        return DistillConfig(**{**(base or {}), "seed": self.seed})
 
 
 @dataclass
@@ -101,9 +105,10 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
     """Build datasets and vocabulary from the synthetic spec or TSV paths."""
     spec = cfg.data
     if "synthetic" in spec:
-        syn = dict(spec["synthetic"])
-        syn.setdefault("seed", cfg.seed)
-        task = gen_synthetic_task(**syn)
+        try:
+            task = gen_synthetic_task(**{"seed": cfg.seed, **spec["synthetic"]})
+        except TypeError as exc:  # a key gen_synthetic_task does not take
+            raise ConfigError(f"data.synthetic: {exc}") from None
         train_pairs, eval_pairs = task.train, task.eval
         corpus = task.corpus
         num_labels = task.n_classes
@@ -224,6 +229,16 @@ def _write_phase_metrics(out_dir: str, phase: str, records: list[dict]):
     _write(path, "".join(kept + [json.dumps(r, sort_keys=True) + "\n" for r in records]))
 
 
+def _load_stage_checkpoint(cfg: RunConfig, data: PreparedData, name: str) -> EncoderModel:
+    """``out_dir/<name>.ckpt``, if its vocabulary and label count are the data's."""
+    model = load_checkpoint(os.path.join(cfg.out_dir, f"{name}.ckpt"))
+    have = (model.cfg.vocab_size, model.cfg.num_labels)
+    if have != (data.vocab.size, data.num_labels):
+        raise ConfigError(f"{name}.ckpt has (vocab_size, num_labels) {have}, but the config's "
+                          f"data gives {(data.vocab.size, data.num_labels)}")
+    return model
+
+
 def stage_train_teacher(cfg: RunConfig, data: PreparedData) -> str:
     model_cfg = cfg.model_config(data.vocab.size, data.num_labels)
     teacher = EncoderModel(model_cfg, seed=cfg.seed)
@@ -240,14 +255,14 @@ def stage_train_teacher(cfg: RunConfig, data: PreparedData) -> str:
 
 
 def stage_importance(cfg: RunConfig, data: PreparedData) -> str:
-    teacher = load_checkpoint(os.path.join(cfg.out_dir, "teacher.ckpt"))
+    teacher = _load_stage_checkpoint(cfg, data, "teacher")
     table = accumulate_importance(teacher, data.train)
     path = os.path.join(cfg.out_dir, "importance.json")
     _write(path, table.to_json())
     return path
 
 def stage_adapt(cfg: RunConfig, data: PreparedData) -> str:
-    teacher = load_checkpoint(os.path.join(cfg.out_dir, "teacher.ckpt"))
+    teacher = _load_stage_checkpoint(cfg, data, "teacher")
     imp_path = os.path.join(cfg.out_dir, "importance.json")
     if not os.path.exists(imp_path):
         raise ConfigError(f"missing importance table {imp_path}; run the "
@@ -265,8 +280,8 @@ def stage_adapt(cfg: RunConfig, data: PreparedData) -> str:
 
 
 def stage_distill(cfg: RunConfig, data: PreparedData) -> str:
-    teacher = load_checkpoint(os.path.join(cfg.out_dir, "teacher.ckpt"))
-    student = load_checkpoint(os.path.join(cfg.out_dir, "student_init.ckpt"))
+    teacher = _load_stage_checkpoint(cfg, data, "teacher")
+    student = _load_stage_checkpoint(cfg, data, "student_init")
     records: list[dict] = []
     train_student(student, teacher, data.train, cfg.distill_config("student"),
                   eval_set=data.eval, metrics_sink=records)
@@ -279,8 +294,7 @@ def stage_distill(cfg: RunConfig, data: PreparedData) -> str:
 
 
 def stage_eval(cfg: RunConfig, data: PreparedData, which: str = "student") -> dict:
-    path = os.path.join(cfg.out_dir, f"{which}.ckpt")
-    model = load_checkpoint(path)
+    model = _load_stage_checkpoint(cfg, data, which)
     acc = evaluate_accuracy(model, data.eval)
     report = {"checkpoint": f"{which}.ckpt", "eval_acc": acc,
               "n_examples": len(data.eval)}
@@ -290,8 +304,8 @@ def stage_eval(cfg: RunConfig, data: PreparedData, which: str = "student") -> di
 
 
 def stage_bench(cfg: RunConfig, data: PreparedData, repeats: int = 5) -> dict:
-    teacher = load_checkpoint(os.path.join(cfg.out_dir, "teacher.ckpt"))
-    student = load_checkpoint(os.path.join(cfg.out_dir, "student.ckpt"))
+    teacher = _load_stage_checkpoint(cfg, data, "teacher")
+    student = _load_stage_checkpoint(cfg, data, "student")
     subset = Dataset(data.eval.examples[:32], data.eval.num_labels)
     report = {
         "dense": bench_inference(teacher, subset, repeats=repeats),

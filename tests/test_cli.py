@@ -17,10 +17,13 @@ from moedistill.pipeline import RunConfig, prepare_data
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+MODEL = {"embed_dim": 32, "ffn_hidden": 64, "num_layers": 2, "num_heads": 4,
+         "max_seq_len": 24}
+
+
 def write_config(tmp_path, **overrides):
     cfg = {
-        "model": {"embed_dim": 32, "ffn_hidden": 64, "num_layers": 2,
-                  "num_heads": 4, "max_seq_len": 24},
+        "model": MODEL,
         "teacher_train": {"epochs": 4, "batch_size": 16, "learning_rate": 1e-3},
         "student_train": {"epochs": 2, "batch_size": 16, "learning_rate": 1e-3,
                           "lambda_distill": 1.0, "layer_set": "all"},
@@ -96,12 +99,29 @@ class TestErrors:
         ("num_experts", {}, ["--num-experts", "0"]),
         ("shared_dim", {"shared_dim": -1}, []),
         ("shared_dim", {}, ["--shared-dim", "-1"]),
-    ])
-    def test_bad_expert_settings_rejected_before_any_stage(self, tmp_path, capsys,
-                                                            field, overrides, flags):
+        ("bogus", {"model": {**MODEL, "bogus": 1}}, []),
+        ("embed_dim", {"model": {**MODEL, "embed_dim": 30}}, []),
+        ("teacher_train", {"teacher_train": {"epochs": 1, "bogus": 1}}, []),
+        ("layer_set", {"student_train": {"layer_set": "x"}}, []),
+        ("batch_size", {"teacher_train": {"batch_size": 0}}, []),
+        ("seed", {"seed": "a"}, []),
+        ("expert_dim", {"model": {**MODEL, "ffn_hidden": 32}, "num_experts": 64}, []),
+        ("shared_dim", {"model": {**MODEL, "ffn_hidden": 32}, "shared_dim": 9}, []),
+        ("routing", {"routing": "bogus"}, []),
+        ("adaptation", {"adaptation": "bogus"}, []),
+        ("bogus", {"data": {"synthetic": {"n_examples": 150, "bogus": 1}}}, []),
+    ], ids=["zero-experts", "zero-experts-flag", "negative-shared", "negative-shared-flag",
+            "model-unknown-key", "heads-not-dividing-embed-dim", "teacher-unknown-key",
+            "unknown-layer-set", "zero-batch-size", "string-seed", "zero-width-experts",
+            "shared-wider-than-expert", "unknown-routing", "unknown-adaptation",
+            "synthetic-unknown-key"])
+    def test_bad_run_config_rejected_before_any_stage(self, tmp_path, capsys,
+                                                      field, overrides, flags):
         cfg = write_config(tmp_path, **overrides)
         assert cli.main(["pipeline", "--config", cfg] + flags) == 1
-        err = json.loads(capsys.readouterr().err)
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
         assert err["error"] == "ConfigError"
         assert field in err["message"]
         assert not (tmp_path / "out").exists()
@@ -165,6 +185,24 @@ class TestCorruptCheckpoint:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "CheckpointError"
+
+
+class TestVocabularyMismatch:
+    @pytest.mark.parametrize("vocab_size", [60, 400])
+    def test_eval_of_teacher_from_other_data_is_config_error(self, tmp_path, capsys,
+                                                             vocab_size):
+        cfg = write_config(tmp_path)
+        assert cli.main(["train-teacher", "--config", cfg]) == 0
+        other = write_config(tmp_path, data={"synthetic": {
+            "n_examples": 150, "n_classes": 2, "vocab_size": vocab_size}})
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", other, "--which", "teacher"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert "teacher.ckpt" in err["message"] and "vocab_size" in err["message"]
+        assert not (tmp_path / "out" / "eval_teacher.json").exists()
 
 
 class TestStages:

@@ -160,6 +160,47 @@ class TestTrainTeacher:
         for pa, pb in zip(ma.parameters(), mb.parameters()):
             assert np.array_equal(pa.data, pb.data)
 
+    def test_equals_hand_written_ce_loop(self):
+        _, vocab, train, ev = build_task(seed=5, n=60)
+        ma = small_model(vocab, 3, seed=3)
+        mb = small_model(vocab, 3, seed=3)
+        # a clip bound the gradient norm exceeds, so clipping is exercised
+        cfg = D.DistillConfig(epochs=2, batch_size=16, learning_rate=1e-3, seed=0,
+                              weight_decay=0.01, grad_clip_norm=0.05)
+        recs = []
+        D.train_teacher(ma, train, cfg, eval_set=ev, metrics_sink=recs)
+
+        # plain CE fine-tuning of the same model, same batch stream
+        params = mb.parameters()
+        opt = D.Adam(params, cfg.learning_rate, weight_decay=cfg.weight_decay)
+        rng = np.random.default_rng(cfg.seed)
+        epoch_ce = []
+        for _ in range(cfg.epochs):
+            losses = []
+            for ids, mask, labels in iter_batches(train, cfg.batch_size, rng):
+                mb.zero_grads()
+                logits, _ = mb.forward(ids, mask, training=True, rng=rng)
+                loss = T.cross_entropy_logits(logits, labels)
+                loss.backward()
+                assert D.clip_gradients(params, cfg.grad_clip_norm) > cfg.grad_clip_norm
+                opt.step()
+                losses.append(loss.item())
+            epoch_ce.append(sum(losses) / len(losses))
+        for pa, pb in zip(ma.parameters(), mb.parameters()):
+            np.testing.assert_array_equal(pa.data, pb.data)
+
+        assert [r["ce"] for r in recs] == epoch_ce
+        for r in recs:
+            assert r["phase"] == "teacher"
+            assert r["trm"] == r["pred"] == 0.0
+            assert r["total"] == r["ce"]
+        student_recs = []
+        teacher = small_model(vocab, 3, seed=3)
+        D.train_student(make_student(teacher, train, vocab), teacher, train,
+                        D.DistillConfig(epochs=1, batch_size=16, seed=0),
+                        eval_set=ev, metrics_sink=student_recs)
+        assert set(recs[0]) == set(student_recs[0])
+
     def test_nonfinite_gradient_aborts_before_step(self, monkeypatch):
         _, vocab, train, _ = build_task(seed=2, n=40)
         model = small_model(vocab, 3, seed=0)
@@ -297,7 +338,9 @@ class TestTrainStudent:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        D.DistillConfig(lambda_distill=-1.0)
-    with pytest.raises(ValueError):
-        D.DistillConfig(layer_set="everything")
+    for bad in [dict(lambda_distill=-1.0), dict(lambda_distill=float("nan")),
+                dict(lambda_distill=float("inf")), dict(layer_set="everything"),
+                dict(batch_size=0), dict(batch_size=2.0), dict(epochs=-1), dict(seed="a"),
+                dict(seed=-1), dict(seed=True)]:
+        with pytest.raises(ValueError):
+            D.DistillConfig(**bad)
