@@ -62,11 +62,22 @@ def save_checkpoint(model: EncoderModel, path: str,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
+    write_atomic(path, MAGIC + struct.pack("<II", VERSION, len(header_bytes)) + header_bytes
+                 + payload)
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``:
+    a failed write leaves any earlier file at ``path`` whole and no temporary file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_header(fh, path: str) -> dict:
@@ -168,7 +179,3 @@ def _install_moe_structure(model: EncoderModel, header: dict) -> None:
             layer.routing = RoutingTable(
                 rh["strategy"], table=_indices(rh["table"], n, f"layer {i} routing table"),
                 num_experts=n)
-
-
-def importance_json_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -17,6 +17,7 @@ from . import pipeline as pl
 from .checkpoint import CheckpointError
 from .data import DataError
 from .distill import TrainingDiverged
+from .importance import ImportanceError
 from .moe import ADAPT_MODES, STRATEGIES, MoEError
 from .tensor import NonFiniteError
 
@@ -67,9 +68,9 @@ def _load_config(args) -> pl.RunConfig:
         cfg.routing = args.routing
     if args.adaptation is not None:
         cfg.adaptation = args.adaptation
-    if getattr(args, "num_experts", None) is not None:
+    if args.num_experts is not None:
         cfg.num_experts = args.num_experts
-    if getattr(args, "shared_dim", None) is not None:
+    if args.shared_dim is not None:
         cfg.shared_dim = args.shared_dim
     cfg.validate()
     return cfg
@@ -108,7 +109,7 @@ def main(argv=None) -> int:
                               "student_acc": summary["student"]["eval_acc"]},
                              sort_keys=True))
     except (pl.ConfigError, DataError, MoEError, CheckpointError,
-            TrainingDiverged, NonFiniteError, FileNotFoundError) as exc:
+            ImportanceError, TrainingDiverged, NonFiniteError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -35,21 +35,9 @@ class Vocab:
     def encode_token(self, tok: str) -> int:
         return self.token_to_id.get(tok, UNK_ID)
 
-    def id_to_token(self) -> dict[int, str]:
-        return {i: t for t, i in self.token_to_id.items()}
-
     def to_json(self) -> str:
         doc = {t: [i, int(self.freqs[i])] for t, i in self.token_to_id.items()}
         return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Vocab":
-        doc = json.loads(text)
-        token_to_id = {t: int(v[0]) for t, v in doc.items()}
-        freqs = np.zeros(len(token_to_id), dtype=np.int64)
-        for t, (i, f) in doc.items():
-            freqs[int(i)] = int(f)
-        return cls(token_to_id, freqs)
 
 
 @dataclass
@@ -127,24 +115,28 @@ def iter_batches(dataset: Dataset, batch_size: int,
 
 def load_tsv(path: str, has_header: bool = False) -> list[tuple[str, int]]:
     """One example per line: text TAB label. Labels must be non-negative integers."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from None
     pairs = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if has_header and lineno == 1:
-                continue
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 'text<TAB>label', got {line!r}")
-            try:
-                label = int(parts[1])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: label {parts[1]!r} is not an integer") from None
-            if label < 0:
-                raise DataError(f"{path}:{lineno}: label {label} is negative")
-            pairs.append((parts[0], label))
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if has_header and lineno == 1:
+            continue
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'text<TAB>label', got {line!r}")
+        try:
+            label = int(parts[1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: label {parts[1]!r} is not an integer") from None
+        if label < 0:
+            raise DataError(f"{path}:{lineno}: label {label} is negative")
+        pairs.append((parts[0], label))
     return pairs
 
 

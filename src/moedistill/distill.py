@@ -45,14 +45,6 @@ class DistillConfig:
         require_int("seed", self.seed, 0)
 
 
-@dataclass
-class DistillBatchLoss:
-    ce: float
-    trm: float
-    pred: float
-    total: float
-
-
 def _selected_layers(num_hidden: int, layer_set: str) -> list[int]:
     last = num_hidden - 1
     if layer_set == "all":
@@ -93,12 +85,11 @@ def loss_distill(trm: Tensor, pred: Tensor) -> Tensor:
 class Adam:
     """Adam with optional decoupled weight decay and global-norm clipping."""
 
-    def __init__(self, params: list[Tensor], lr: float, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
@@ -139,10 +130,10 @@ def clip_gradients(params: list[Tensor], max_norm: float) -> float:
     return norm
 
 
-def evaluate_accuracy(model: EncoderModel, dataset: Dataset, batch_size: int = 32) -> float:
+def evaluate_accuracy(model: EncoderModel, dataset: Dataset) -> float:
     correct = 0
     with T.no_grad():
-        for ids, mask, labels in iter_batches(dataset, batch_size):
+        for ids, mask, labels in iter_batches(dataset, 32):
             logits, _ = model.forward(ids, mask, training=False)
             correct += int((np.argmax(logits.data, axis=1) == labels).sum())
     return correct / len(dataset)
@@ -199,20 +190,20 @@ def distill_batch_loss(student: EncoderModel, teacher: EncoderModel,
                        ids, mask, labels, config: DistillConfig,
                        rng: np.random.Generator | None = None,
                        training: bool = True):
-    """Combined objective for one batch; teacher runs without a graph."""
+    """Combined objective for one batch and its (ce, trm, pred) parts as floats;
+    the teacher runs without a graph."""
     with T.no_grad():
         t_logits, t_layers = teacher.forward(ids, mask, training=False)
     s_logits, s_layers = student.forward(ids, mask, training=training, rng=rng)
     ce = T.cross_entropy_logits(s_logits, labels)
     if config.lambda_distill > 0:
         trm = loss_trm(s_layers, t_layers, config.layer_set)
-        pred = loss_pred(T.softmax(s_logits, axis=-1), T.softmax(t_logits, axis=-1))
+        pred = loss_pred(T.softmax(s_logits), T.softmax(t_logits))
         total = T.add(ce, T.mul(loss_distill(trm, pred), config.lambda_distill))
     else:
         trm = pred = Tensor(0.0)
         total = ce
-    report = DistillBatchLoss(ce.item(), trm.item(), pred.item(), total.item())
-    return total, report
+    return total, (ce.item(), trm.item(), pred.item())
 
 
 def train_student(student: EncoderModel, teacher: EncoderModel, train: Dataset,
@@ -220,8 +211,6 @@ def train_student(student: EncoderModel, teacher: EncoderModel, train: Dataset,
                   metrics_sink=None) -> EncoderModel:
     """Distillation training of the adapted student; teacher stays frozen."""
     def batch_loss(ids, mask, labels, rng):
-        total, report = distill_batch_loss(student, teacher, ids, mask, labels,
-                                           config, rng=rng)
-        return total, (report.ce, report.trm, report.pred)
+        return distill_batch_loss(student, teacher, ids, mask, labels, config, rng=rng)
 
     return _train(student, batch_loss, "student", train, config, eval_set, metrics_sink)

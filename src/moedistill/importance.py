@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset, pad_batch
-from .model import EncoderModel
+from .model import EncoderModel, ModelConfig
 
 
 class ImportanceError(ValueError):
@@ -40,10 +40,22 @@ class ImportanceTable:
                            for l, s in sorted(self.scores.items())})
 
     @classmethod
-    def from_json(cls, text: str, dataset_size: int = 0) -> "ImportanceTable":
-        doc = json.loads(text)
-        return cls({int(l): np.asarray(v, dtype=np.float64) for l, v in doc.items()},
-                   dataset_size)
+    def from_json(cls, text: str | bytes, teacher: ModelConfig,
+                  dataset_size: int = 0) -> "ImportanceTable":
+        """Parse ``to_json`` output; raise ``ImportanceError`` unless it maps each of the
+        teacher's layers to ``ffn_hidden`` finite, non-negative numbers."""
+        h, layers = teacher.ffn_hidden, [str(l) for l in range(teacher.num_layers)]
+        try:
+            doc = json.loads(text)
+            ok = isinstance(doc, dict) and set(doc) == set(layers)
+            rows = [np.asarray(doc[l]) for l in layers] if ok else []
+        except ValueError as exc:  # not UTF-8, not JSON, or a ragged list
+            raise ImportanceError(f"importance table: {exc}") from None
+        if not ok or any(r.dtype.kind not in "iuf" or r.shape != (h,)
+                         or not (np.isfinite(r) & (r >= 0)).all() for r in rows):
+            raise ImportanceError(f"importance table must map each layer {layers} to {h} "
+                                  "finite, non-negative numbers")
+        return cls({l: r.astype(np.float64) for l, r in enumerate(rows)}, dataset_size)
 
 
 def rank_scores(scores: np.ndarray) -> np.ndarray:
@@ -68,9 +80,7 @@ def accumulate_importance(teacher: EncoderModel, dataset: Dataset) -> Importance
         loss.backward()
         for l, layer in enumerate(teacher.layers):
             w1, w2 = layer.ffn.w1[0], layer.ffn.w2[0]
-            g1 = w1.grad if w1.grad is not None else np.zeros_like(w1.data)
-            g2 = w2.grad if w2.grad is not None else np.zeros_like(w2.data)
-            term = (w1.data * g1).sum(axis=0) + (w2.data * g2).sum(axis=1)
+            term = (w1.data * w1.grad).sum(axis=0) + (w2.data * w2.grad).sum(axis=1)
             scores[l] += np.abs(term)
     teacher.zero_grads()
     return ImportanceTable(scores, len(dataset))

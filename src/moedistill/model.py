@@ -81,7 +81,6 @@ class ModelConfig:
 @dataclass
 class LayerOutputs:
     hidden: list[Tensor]  # X^0 .. X^L, each batch × seq × d
-    attn_out: list[Tensor]  # attention sublayer output A per layer
     mask: np.ndarray
 
 
@@ -116,19 +115,16 @@ class EncoderLayer:
         self.ffn_ln_b = Tensor(np.zeros(d), requires_grad=True)
         self.num_heads = cfg.num_heads
 
-    def attn_parameters(self):
-        return [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv,
-                self.wo, self.bo, self.attn_ln_g, self.attn_ln_b]
-
     def parameters(self):
-        ps = self.attn_parameters() + self.ffn.parameters()
-        ps += [self.ffn_ln_g, self.ffn_ln_b]
+        ps = [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv,
+              self.wo, self.bo, self.attn_ln_g, self.attn_ln_b]
+        ps += self.ffn.parameters() + [self.ffn_ln_g, self.ffn_ln_b]
         if self.routing is not None and self.routing.gate_weight is not None:
             ps.append(self.routing.gate_weight)
         return ps
 
     def forward(self, x: Tensor, mask: np.ndarray, token_ids: np.ndarray,
-                dropout_p: float, rng: np.random.Generator | None) -> tuple[Tensor, Tensor]:
+                dropout_p: float, rng: np.random.Generator | None) -> Tensor:
         batch, seq, d = x.shape
         h = self.num_heads
         dk = d // h
@@ -141,25 +137,18 @@ class EncoderLayer:
         v = heads(T.add(T.matmul(x, self.wv), self.bv))
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
         bias = np.where(mask[:, None, None, :] > 0, 0.0, -1e9)
-        probs = T.softmax(T.add(scores, Tensor(bias)), axis=-1)
-        if dropout_p > 0 and rng is not None:
-            probs = T.dropout(probs, dropout_p, rng)
+        probs = T.dropout(T.softmax(T.add(scores, Tensor(bias))), dropout_p, rng)
         ctx = T.transpose(T.matmul(probs, v), (0, 2, 1, 3))
         ctx = T.reshape(ctx, (batch, seq, d))
-        attn = T.add(T.matmul(ctx, self.wo), self.bo)
-        if dropout_p > 0 and rng is not None:
-            attn = T.dropout(attn, dropout_p, rng)
+        attn = T.dropout(T.add(T.matmul(ctx, self.wo), self.bo), dropout_p, rng)
         # post-LN turns any NaN or Inf in a row into NaN across the row, so
         # scanning each sublayer output covers every op inside the sublayer
         a = T.check_finite(T.layernorm(T.add(x, attn), self.attn_ln_g, self.attn_ln_b),
                            f"layer{self.index}.attn")
 
-        y = moe_forward(a, self.ffn, self.routing, token_ids, mask)
-        if dropout_p > 0 and rng is not None:
-            y = T.dropout(y, dropout_p, rng)
-        out = T.check_finite(T.layernorm(T.add(a, y), self.ffn_ln_g, self.ffn_ln_b),
-                             f"layer{self.index}.ffn")
-        return out, a
+        y = T.dropout(moe_forward(a, self.ffn, self.routing, token_ids, mask), dropout_p, rng)
+        return T.check_finite(T.layernorm(T.add(a, y), self.ffn_ln_g, self.ffn_ln_b),
+                              f"layer{self.index}.ffn")
 
 
 class EncoderModel:
@@ -224,9 +213,6 @@ class EncoderModel:
     def is_moe(self) -> bool:
         return any(l.routing is not None for l in self.layers)
 
-    def count_effective_params(self) -> int:
-        return effective_param_count(self.cfg)
-
     def count_total_params(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
@@ -242,25 +228,20 @@ class EncoderModel:
             raise ShapeError("encoder_forward", (batch, seq), (self.cfg.max_seq_len,))
         if token_ids.max(initial=0) >= self.cfg.vocab_size:
             raise ValueError("token id outside the vocabulary")
-        p = self.cfg.dropout if training else 0.0
-        drop_rng = rng if training else None
+        p, drop_rng = self.cfg.dropout, (rng if training else None)  # no rng: no dropout
 
-        emb = T.add(T.embedding(self.tok_emb, token_ids),
-                    T.embedding(self.pos_emb, np.arange(seq)))
+        emb = T.add(T.take(self.tok_emb, token_ids), T.take(self.pos_emb, np.arange(seq)))
         x = T.check_finite(T.layernorm(emb, self.emb_ln_g, self.emb_ln_b), "embeddings")
-        if p > 0 and drop_rng is not None:
-            x = T.dropout(x, p, drop_rng)
+        x = T.dropout(x, p, drop_rng)
         hidden = [x]
-        attn_outs = []
         for layer in self.layers:
-            x, a = layer.forward(x, mask, token_ids, p, drop_rng)
+            x = layer.forward(x, mask, token_ids, p, drop_rng)
             hidden.append(x)
-            attn_outs.append(a)
 
         cls_vec = T.reshape(T.take(x, np.asarray([0]), axis=1), (batch, self.cfg.embed_dim))
         pooled = T.tanh(T.add(T.matmul(cls_vec, self.pool_w), self.pool_b))
         logits = T.check_finite(T.add(T.matmul(pooled, self.cls_w), self.cls_b), "logits")
-        return logits, LayerOutputs(hidden, attn_outs, mask)
+        return logits, LayerOutputs(hidden, mask)
 
 
 # -- analytic cost accounting ----------------------------------------------

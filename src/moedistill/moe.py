@@ -173,7 +173,7 @@ def build_routing(strategy: str, vocab_freqs: np.ndarray | None,
 
 def gate_probs(sentence_repr: Tensor, gate_weight: Tensor) -> Tensor:
     """Row-wise softmax(sentence_repr · W_g); rows sum to 1."""
-    return softmax(matmul(sentence_repr, gate_weight), axis=-1)
+    return softmax(matmul(sentence_repr, gate_weight))
 
 
 def routing_loads(table: np.ndarray, freqs: np.ndarray, num_experts: int) -> np.ndarray:

@@ -9,6 +9,7 @@ bench report.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 import time
@@ -17,8 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import (load_checkpoint, read_header, save_checkpoint,
-                         importance_json_digest)
+from .checkpoint import load_checkpoint, read_header, save_checkpoint, write_atomic
 from .data import (Dataset, Vocab, build_vocab, encode_dataset, gen_synthetic_task,
                    load_tsv, pad_batch)
 from .distill import DistillConfig, evaluate_accuracy, train_student, train_teacher
@@ -31,6 +31,9 @@ from .moe import (ADAPT_IMPORTANCE, ADAPT_MODES, GATE, RoutingTable, adapt_ffn,
 
 class ConfigError(ValueError):
     pass
+
+
+DATA_KEYS = {"synthetic", "train_tsv", "eval_tsv", "has_header", "min_freq"}
 
 
 @dataclass
@@ -53,8 +56,10 @@ class RunConfig:
                 doc = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: the config must be a JSON object")
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
@@ -74,13 +79,23 @@ class RunConfig:
             for which in ("teacher", "student"):
                 section = f"{which}_train: "
                 self.distill_config(which)
+            section = "data: "
+            if not isinstance(self.data, dict) or set(self.data) - DATA_KEYS:
+                raise ValueError(f"keys must come from {sorted(DATA_KEYS)}, got {self.data!r}")
+            if "synthetic" not in self.data and not {"train_tsv", "eval_tsv"} <= set(self.data):
+                raise ValueError("needs either 'synthetic' or both 'train_tsv' and 'eval_tsv'")
+            if not all(isinstance(self.data.get(k, ""), str) for k in ("train_tsv", "eval_tsv")):
+                raise ValueError("train_tsv and eval_tsv must be path strings")  # open(0) is stdin
+            require_int("min_freq", self.data.get("min_freq", 1), 1)
+            if not isinstance(self.data.get("has_header", False), bool):
+                raise ValueError(f"has_header must be a boolean, not {self.data['has_header']!r}")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{section}{exc}") from None
 
     def model_config(self, vocab_size: int, num_labels: int) -> ModelConfig:
-        # fields the config leaves out take ModelConfig's defaults
-        return ModelConfig(**{**self.model, "vocab_size": vocab_size,
-                              "num_labels": num_labels, "moe": None})
+        # fields the config leaves out take ModelConfig's defaults; a model block that
+        # sets vocab_size, num_labels or moe is a TypeError (multiple values)
+        return ModelConfig(**self.model, vocab_size=vocab_size, num_labels=num_labels, moe=None)
 
     def moe_config(self, ffn_hidden: int) -> MoEConfig:
         return MoEConfig(num_experts=self.num_experts,
@@ -112,7 +127,7 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
         train_pairs, eval_pairs = task.train, task.eval
         corpus = task.corpus
         num_labels = task.n_classes
-    elif "train_tsv" in spec:
+    else:
         train_pairs = load_tsv(spec["train_tsv"], spec.get("has_header", False))
         eval_pairs = load_tsv(spec["eval_tsv"], spec.get("has_header", False))
         corpus = [t for t, _ in train_pairs]
@@ -121,8 +136,6 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
             if y not in labels:
                 raise ConfigError(f"eval label {y} never seen in training data")
         num_labels = max(labels) + 1
-    else:
-        raise ConfigError("data spec needs either 'synthetic' or 'train_tsv'")
 
     vocab = build_vocab(corpus, min_freq=spec.get("min_freq", 1))
     max_len = cfg.model.get("max_seq_len", 64)
@@ -170,14 +183,13 @@ def adapt_model(teacher: EncoderModel, table: ImportanceTable, moe: MoEConfig,
     return student
 
 
-def bench_inference(model: EncoderModel, dataset: Dataset, repeats: int = 5,
-                    seq_len: int | None = None, warmup: int = 2) -> dict:
+def bench_inference(model: EncoderModel, dataset: Dataset, repeats: int = 5) -> dict:
     """Examples/second at batch size 1 plus the analytic cost numbers.
 
-    Timing is the median over ``repeats`` passes after ``warmup`` passes;
-    every example is padded to the same fixed sequence length.
+    Timing is the median over ``repeats`` passes after two warm-up passes;
+    every example is padded to the model's ``max_seq_len``.
     """
-    seq_len = seq_len or model.cfg.max_seq_len
+    seq_len = model.cfg.max_seq_len
     batches = []
     for ex in dataset.examples:
         ids, mask, _ = pad_batch([ex])
@@ -195,7 +207,7 @@ def bench_inference(model: EncoderModel, dataset: Dataset, repeats: int = 5,
                 model.forward(ids, mask, training=False)
         return time.perf_counter() - start
 
-    for _ in range(warmup):
+    for _ in range(2):
         one_pass()
     times = sorted(one_pass() for _ in range(max(1, repeats)))
     median = times[len(times) // 2]
@@ -215,8 +227,7 @@ def bench_inference(model: EncoderModel, dataset: Dataset, repeats: int = 5,
 
 def _write(path: str, text: str):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _write_phase_metrics(out_dir: str, phase: str, records: list[dict]):
@@ -225,7 +236,10 @@ def _write_phase_metrics(out_dir: str, phase: str, records: list[dict]):
     kept = []
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
-            kept = [line for line in fh if json.loads(line).get("phase") != phase]
+            try:
+                kept = [line for line in fh if json.loads(line).get("phase") != phase]
+            except (ValueError, AttributeError) as exc:  # not UTF-8, not JSON, not objects
+                raise ConfigError(f"{path}: not JSON lines of metric records ({exc})") from None
     _write(path, "".join(kept + [json.dumps(r, sort_keys=True) + "\n" for r in records]))
 
 
@@ -245,9 +259,7 @@ def stage_train_teacher(cfg: RunConfig, data: PreparedData) -> str:
     records: list[dict] = []
     train_teacher(teacher, data.train, cfg.distill_config("teacher"),
                   eval_set=data.eval, metrics_sink=records)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    vocab_path = os.path.join(cfg.out_dir, "vocab.json")
-    _write(vocab_path, data.vocab.to_json())
+    _write(os.path.join(cfg.out_dir, "vocab.json"), data.vocab.to_json())
     path = os.path.join(cfg.out_dir, "teacher.ckpt")
     save_checkpoint(teacher, path, vocab_file="vocab.json")
     _write_phase_metrics(cfg.out_dir, "teacher", records)
@@ -267,15 +279,15 @@ def stage_adapt(cfg: RunConfig, data: PreparedData) -> str:
     if not os.path.exists(imp_path):
         raise ConfigError(f"missing importance table {imp_path}; run the "
                           "importance stage first")
-    with open(imp_path, encoding="utf-8") as fh:
-        imp_text = fh.read()
-    table = ImportanceTable.from_json(imp_text, len(data.train))
+    with open(imp_path, "rb") as fh:
+        imp_bytes = fh.read()
+    table = ImportanceTable.from_json(imp_bytes, teacher.cfg, len(data.train))
     moe = cfg.moe_config(teacher.cfg.ffn_hidden)
     student = adapt_model(teacher, table, moe, data.vocab.freqs, cfg.seed,
                           mode=cfg.adaptation)
     path = os.path.join(cfg.out_dir, "student_init.ckpt")
     save_checkpoint(student, path, vocab_file="vocab.json",
-                    importance_digest=importance_json_digest(imp_text))
+                    importance_digest=hashlib.sha256(imp_bytes).hexdigest())
     return path
 
 

@@ -46,8 +46,8 @@ class NonFiniteError(FloatingPointError):
 
     Ops do not scan their outputs: NaN and Inf carry forward through
     arithmetic, so models call ``check_finite`` at sublayer boundaries. Only
-    ops that can map a non-finite value to a finite one (``clamp``, ``exp``,
-    ``tanh``, ``softmax``) scan their input, and ``log``, which runs with
+    ops that can map a non-finite value to a finite one (``clamp``, ``tanh``,
+    ``softmax``) scan their input, and ``log``, which runs with
     floating-point warnings silenced, scans its output.
     """
 
@@ -261,12 +261,6 @@ def log(a) -> Tensor:
     return check_finite(_make("log", out, [(a, lambda g: g / a.data)]), "log")
 
 
-def exp(a) -> Tensor:
-    a = check_finite(as_tensor(a), "exp")
-    out = np.exp(a.data)
-    return _make("exp", out, [(a, lambda g: g * out)])
-
-
 def tanh(a) -> Tensor:
     a = check_finite(as_tensor(a), "tanh")
     out = np.tanh(a.data)
@@ -388,17 +382,11 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None) -> Tensor:
 # -- reductions and reshaping ----------------------------------------------
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a) -> Tensor:
+    """Sum of every element, as a scalar."""
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def grad(g):
-        if axis is None:
-            return np.broadcast_to(g, a.data.shape).copy()
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.data.shape).copy()
-
-    return _make("sum", np.asarray(out, dtype=np.float64), [(a, grad)])
+    out = np.asarray(a.data.sum(), dtype=np.float64)
+    return _make("sum", out, [(a, lambda g: np.broadcast_to(g, a.data.shape).copy())])
 
 
 def reshape(a, shape) -> Tensor:
@@ -431,29 +419,25 @@ def take(a, idx, axis: int = 0) -> Tensor:
     return _make("take", out, [(a, grad)])
 
 
-def embedding(weight, ids) -> Tensor:
-    """Row lookup into an embedding matrix; gradients scatter-add back."""
-    return take(weight, np.asarray(ids, dtype=np.int64), axis=0)
-
-
 # -- fused neural-net ops ---------------------------------------------------
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a) -> Tensor:
+    """Softmax over the last axis."""
     a = check_finite(as_tensor(a), "softmax")
     x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def grad(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return out * (g - dot)
 
     return _make("softmax", out, [(a, grad)])
 
 
-def layernorm(x, gamma, beta, eps: float = 1e-12) -> Tensor:
+def layernorm(x, gamma, beta) -> Tensor:
     """Layer normalization over the last axis."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
@@ -461,7 +445,7 @@ def layernorm(x, gamma, beta, eps: float = 1e-12) -> Tensor:
         raise ShapeError("layernorm", x.shape, gamma.shape, beta.shape)
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-12)
     xhat = (x.data - mu) * inv
     out = gamma.data * xhat + beta.data
 
@@ -479,10 +463,10 @@ def layernorm(x, gamma, beta, eps: float = 1e-12) -> Tensor:
     return _make("layernorm", out, [(x, grad_x), (gamma, grad_gamma), (beta, grad_beta)])
 
 
-def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; only call during training."""
+def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout; the identity when ``p <= 0`` or ``rng`` is None (evaluation)."""
     a = as_tensor(a)
-    if p <= 0.0:
+    if p <= 0.0 or rng is None:
         return a
     keep = (rng.random(a.shape) >= p) / (1.0 - p)
     return mul(a, Tensor(keep))
@@ -516,13 +500,13 @@ def mse(pred, target, mask=None) -> Tensor:
     return _make("mse", out, [(pred, grad_pred), (target, grad_target)])
 
 
-def kl_div(p, q, clamp_eps: float = 1e-12) -> Tensor:
-    """KL(p‖q) per row, averaged over rows; inputs clamped to [eps, 1]."""
+def kl_div(p, q) -> Tensor:
+    """KL(p‖q) per row, averaged over rows; inputs clamped to [1e-12, 1]."""
     p, q = as_tensor(p), as_tensor(q)
     if p.shape != q.shape:
         raise ShapeError("kl_div", p.shape, q.shape)
-    pc = clamp(p, clamp_eps, 1.0)
-    qc = clamp(q, clamp_eps, 1.0)
+    pc = clamp(p, 1e-12, 1.0)
+    qc = clamp(q, 1e-12, 1.0)
     rows = int(np.prod(p.shape[:-1])) if p.ndim > 1 else 1
     per_elem = mul(pc, sub(log(pc), log(qc)))
     return mul(tsum(per_elem), 1.0 / rows)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from moedistill import checkpoint as C
+from moedistill import pipeline
 from moedistill.importance import ImportanceTable
 from moedistill.model import EncoderModel, ModelConfig, MoEConfig
 from moedistill.pipeline import adapt_model
@@ -54,6 +55,38 @@ def test_save_load_save_byte_identical(tmp_path):
     C.save_checkpoint(model, p1)
     C.save_checkpoint(C.load_checkpoint(p1), p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: C.save_checkpoint(dense_model(seed=1), path),
+    lambda path: pipeline._write(path, "x" * 100),
+], ids=["save_checkpoint", "pipeline-write"])
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, write):
+    path = str(tmp_path / "teacher.ckpt")
+    C.save_checkpoint(dense_model(), path)
+    before = open(path, "rb").read()
+
+    class DiskFull:  # writes half of what it is given, then fails
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(C, "open", lambda p, mode="r": (DiskFull(open(p, mode)) if "w" in mode
+                                                        else open(p, mode)), raising=False)
+    with pytest.raises(OSError):
+        write(path)
+    assert open(path, "rb").read() == before
+    C.load_checkpoint(path)
+    assert os.listdir(tmp_path) == ["teacher.ckpt"]
 
 
 def test_corrupted_payload_byte_rejected(tmp_path):

@@ -94,37 +94,70 @@ class TestErrors:
         assert len(lines) == 1, proc.stderr
         assert json.loads(lines[0])["error"] == "NonFiniteError"
 
-    @pytest.mark.parametrize("field,overrides,flags", [
-        ("num_experts", {"num_experts": 0}, []),
-        ("num_experts", {}, ["--num-experts", "0"]),
-        ("shared_dim", {"shared_dim": -1}, []),
-        ("shared_dim", {}, ["--shared-dim", "-1"]),
-        ("bogus", {"model": {**MODEL, "bogus": 1}}, []),
-        ("embed_dim", {"model": {**MODEL, "embed_dim": 30}}, []),
-        ("teacher_train", {"teacher_train": {"epochs": 1, "bogus": 1}}, []),
-        ("layer_set", {"student_train": {"layer_set": "x"}}, []),
-        ("batch_size", {"teacher_train": {"batch_size": 0}}, []),
-        ("seed", {"seed": "a"}, []),
-        ("expert_dim", {"model": {**MODEL, "ffn_hidden": 32}, "num_experts": 64}, []),
-        ("shared_dim", {"model": {**MODEL, "ffn_hidden": 32}, "shared_dim": 9}, []),
-        ("routing", {"routing": "bogus"}, []),
-        ("adaptation", {"adaptation": "bogus"}, []),
-        ("bogus", {"data": {"synthetic": {"n_examples": 150, "bogus": 1}}}, []),
+    @pytest.mark.parametrize("error,field,overrides,flags", [
+        ("ConfigError", "num_experts", {"num_experts": 0}, []),
+        ("ConfigError", "num_experts", {}, ["--num-experts", "0"]),
+        ("ConfigError", "shared_dim", {"shared_dim": -1}, []),
+        ("ConfigError", "shared_dim", {}, ["--shared-dim", "-1"]),
+        ("ConfigError", "bogus", {"model": {**MODEL, "bogus": 1}}, []),
+        ("ConfigError", "embed_dim", {"model": {**MODEL, "embed_dim": 30}}, []),
+        ("ConfigError", "teacher_train", {"teacher_train": {"epochs": 1, "bogus": 1}}, []),
+        ("ConfigError", "layer_set", {"student_train": {"layer_set": "x"}}, []),
+        ("ConfigError", "batch_size", {"teacher_train": {"batch_size": 0}}, []),
+        ("ConfigError", "seed", {"seed": "a"}, []),
+        ("ConfigError", "expert_dim", {"model": {**MODEL, "ffn_hidden": 32}, "num_experts": 64},
+         []),
+        ("ConfigError", "shared_dim", {"model": {**MODEL, "ffn_hidden": 32}, "shared_dim": 9},
+         []),
+        ("ConfigError", "routing", {"routing": "bogus"}, []),
+        ("ConfigError", "adaptation", {"adaptation": "bogus"}, []),
+        ("ConfigError", "bogus", {"data": {"synthetic": {"n_examples": 150, "bogus": 1}}}, []),
+        ("ConfigError", "eval_tsv", {"data": {"train_tsv": "good.tsv"}}, []),
+        ("ConfigError", "train_tsv", {"data": {"train_tsv": 0, "eval_tsv": "good.tsv"}}, []),
+        ("ConfigError", "bogus", {"data": {"synthetic": {}, "bogus": 1}}, []),
+        ("ConfigError", "min_freq", {"data": {"synthetic": {}, "min_freq": "a"}}, []),
+        ("ConfigError", "has_header", {"data": {"synthetic": {}, "has_header": "false"}}, []),
+        ("ConfigError", "vocab_size", {"model": {**MODEL, "vocab_size": 7}}, []),
+        ("ConfigError", "num_labels", {"model": {**MODEL, "num_labels": 2}}, []),
+        ("ConfigError", "moe", {"model": {**MODEL, "moe": {"num_experts": 2}}}, []),
+        ("DataError", "latin1.tsv", {"data": {"train_tsv": "latin1.tsv", "eval_tsv": "good.tsv"}},
+         []),
+        ("IsADirectoryError", "adir", {"data": {"train_tsv": "adir", "eval_tsv": "good.tsv"}}, []),
+        ("FileExistsError", "afile", {"out_dir": "afile"}, []),
     ], ids=["zero-experts", "zero-experts-flag", "negative-shared", "negative-shared-flag",
             "model-unknown-key", "heads-not-dividing-embed-dim", "teacher-unknown-key",
             "unknown-layer-set", "zero-batch-size", "string-seed", "zero-width-experts",
             "shared-wider-than-expert", "unknown-routing", "unknown-adaptation",
-            "synthetic-unknown-key"])
-    def test_bad_run_config_rejected_before_any_stage(self, tmp_path, capsys,
-                                                      field, overrides, flags):
+            "synthetic-unknown-key", "tsv-without-eval-tsv", "tsv-path-not-a-string",
+            "data-unknown-key", "string-min-freq", "string-has-header",
+            "model-sets-vocab-size", "model-sets-num-labels", "model-sets-moe",
+            "tsv-not-utf8", "tsv-is-a-directory", "out-dir-is-a-file"])
+    def test_bad_run_config_rejected_before_any_stage(self, tmp_path, capsys, monkeypatch,
+                                                      error, field, overrides, flags):
+        # the data files that rows name, relative to the working directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "good.tsv").write_text("good movie\t1\nbad movie\t0\n")
+        (tmp_path / "latin1.tsv").write_bytes("caf\u00e9 movie\t1\n".encode("latin-1"))
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
         cfg = write_config(tmp_path, **overrides)
         assert cli.main(["pipeline", "--config", cfg] + flags) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])
-        assert err["error"] == "ConfigError"
+        assert err["error"] == error
         assert field in err["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", [b"5", b"null", b'{"seed": 1}\xff'],
+                             ids=["number", "null", "not-utf8"])
+    def test_config_file_not_a_json_object(self, tmp_path, capsys, raw):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(raw)
+        assert cli.main(["eval", "--config", str(p)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
 
     def test_adapt_without_importance_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -185,6 +218,38 @@ class TestCorruptCheckpoint:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "CheckpointError"
+
+
+class TestCorruptArtifacts:
+    ROW = [1.0] * 64  # one layer's scores at the config's ffn_hidden
+
+    @pytest.mark.parametrize("name,text,command,error", [
+        ("importance.json", '{"0": [1.0, 2.0', "adapt", "ImportanceError"),
+        ("importance.json", b'{"0": [1.0]}\xff', "adapt", "ImportanceError"),
+        ("importance.json", "[1.0, 2.0]", "adapt", "ImportanceError"),
+        ("importance.json", json.dumps({"0": ROW}), "adapt", "ImportanceError"),
+        ("importance.json", json.dumps({"0": ["a"] * 64, "1": ROW}), "adapt", "ImportanceError"),
+        ("importance.json", json.dumps({"0": [float("nan")] + ROW[1:], "1": ROW}), "adapt",
+         "ImportanceError"),
+        ("metrics.jsonl", '{"phase": "teacher"\n', "train-teacher", "ConfigError"),
+        ("metrics.jsonl", "[1, 2]\n", "train-teacher", "ConfigError"),
+    ], ids=["importance-truncated", "importance-not-utf8", "importance-list",
+            "importance-missing-layer", "importance-string-score", "importance-nan-score",
+            "metrics-not-json", "metrics-not-objects"])
+    def test_stage_reports_one_json_error(self, adapted_run, tmp_path, capsys,
+                                          name, text, command, error):
+        cfg, out = adapted_run
+        shutil.copytree(out, tmp_path / "out")
+        (tmp_path / "out" / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+        student_init = (tmp_path / "out" / "student_init.ckpt").read_bytes()
+        capsys.readouterr()
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == error
+        assert name.split(".")[0] in err["message"]
+        assert (tmp_path / "out" / "student_init.ckpt").read_bytes() == student_init
 
 
 class TestVocabularyMismatch:
@@ -274,3 +339,17 @@ class TestPipelineDeterminism:
         assert cli.main(["pipeline", "--config", cfg, "--seed", "99",
                          "--repeats", "1"]) == 0
         assert (out / "metrics.jsonl").read_bytes() != first
+
+
+def test_runtime_imports_numpy_only():
+    # scipy is a test dependency only (the dev extra); no program module may import it
+    code = ("import importlib, pkgutil, sys, moedistill\n"
+            "names = [m.name for m in pkgutil.iter_modules(moedistill.__path__)]\n"
+            "assert 'cli' in names, names\n"
+            "for name in names:\n"
+            "    importlib.import_module('moedistill.' + name)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

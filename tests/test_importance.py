@@ -183,7 +183,8 @@ class TestSerialization:
     def test_json_roundtrip_and_recomputed_ordering(self):
         scores = {0: np.array([0.5, 2.0, 1.0]), 1: np.array([3.0, 3.0, 0.1])}
         table = imp.ImportanceTable(scores, 7)
-        loaded = imp.ImportanceTable.from_json(table.to_json(), 7)
+        cfg = ModelConfig(vocab_size=10, ffn_hidden=3, num_layers=2)
+        loaded = imp.ImportanceTable.from_json(table.to_json(), cfg, 7)
         for l in scores:
             np.testing.assert_allclose(loaded.scores[l], scores[l])
         assert loaded.ordering()[0].tolist() == [1, 2, 0]

@@ -74,7 +74,6 @@ class TestEncoderForward:
         assert len(outs.hidden) == cfg.num_layers + 1
         for x in outs.hidden:
             assert x.shape == (3, 8, cfg.embed_dim)
-        assert len(outs.attn_out) == cfg.num_layers
 
     def test_too_long_sequence_raises(self):
         cfg = small_cfg(max_seq_len=6)
@@ -115,7 +114,7 @@ class TestParamCounting:
     def test_dense_effective_equals_enumeration(self):
         cfg = small_cfg()
         model = EncoderModel(cfg, seed=0)
-        assert model.count_effective_params() == model.count_total_params()
+        assert effective_param_count(cfg) == model.count_total_params()
 
     def test_dense_parameter_names(self):
         # checkpoints and outside readers address a dense FFN by these names
@@ -154,7 +153,6 @@ class TestParamCounting:
             {l: np.arange(32, dtype=float)[::-1].copy() for l in range(2)}, 1)
         student = adapt_model(teacher, table, moe, np.ones(50), seed=0)
         assert student.count_total_params() == total_param_count(cfg)
-        assert student.count_effective_params() == effective_param_count(cfg)
 
     def test_paper_shaped_ratio(self):
         # BERT-base shape: the MoE effective/dense ratio should land near 66/110
