@@ -194,19 +194,3 @@ def gen_synthetic_task(seed: int, n_examples: int = 1000, n_classes: int = 3,
         n_classes=n_classes,
     )
 
-
-def bayes_accuracy(task: SyntheticTask, split: str = "eval") -> float:
-    """Accuracy of the majority-signal-token classifier on a split."""
-    owner = {}
-    for c, toks in enumerate(task.signal_tokens):
-        for t in toks:
-            owner[t] = c
-    pairs = task.eval if split == "eval" else task.train
-    correct = 0
-    for text, label in pairs:
-        votes = np.zeros(task.n_classes)
-        for t in text.split():
-            if t in owner:
-                votes[owner[t]] += 1
-        correct += int(np.argmax(votes) == label)
-    return correct / len(pairs)

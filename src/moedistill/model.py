@@ -10,7 +10,6 @@ X^l post-layernorm).
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -123,31 +122,19 @@ class EncoderLayer:
             ps.append(self.routing.gate_weight)
         return ps
 
-    def forward(self, x: Tensor, mask: np.ndarray, token_ids: np.ndarray,
+    def forward(self, x: Tensor, bias: np.ndarray, mask: np.ndarray, token_ids: np.ndarray,
                 dropout_p: float, rng: np.random.Generator | None) -> Tensor:
-        batch, seq, d = x.shape
-        h = self.num_heads
-        dk = d // h
-
-        def heads(t):
-            return T.transpose(T.reshape(t, (batch, seq, h, dk)), (0, 2, 1, 3))
-
-        q = heads(T.add(T.matmul(x, self.wq), self.bq))
-        k = heads(T.add(T.matmul(x, self.wk), self.bk))
-        v = heads(T.add(T.matmul(x, self.wv), self.bv))
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
-        bias = np.where(mask[:, None, None, :] > 0, 0.0, -1e9)
-        probs = T.dropout(T.softmax(T.add(scores, Tensor(bias))), dropout_p, rng)
-        ctx = T.transpose(T.matmul(probs, v), (0, 2, 1, 3))
-        ctx = T.reshape(ctx, (batch, seq, d))
-        attn = T.dropout(T.add(T.matmul(ctx, self.wo), self.bo), dropout_p, rng)
+        """Four graph nodes: attention, layernorm, moe_ffn, layernorm. ``bias``
+        is the attention's key-mask bias (see ``tensor.attention``)."""
+        attn = T.attention(x, self.wq, self.bq, self.wk, self.bk, self.wv, self.bv,
+                           self.wo, self.bo, bias, self.num_heads, dropout_p, rng)
         # post-LN turns any NaN or Inf in a row into NaN across the row, so
         # scanning each sublayer output covers every op inside the sublayer
-        a = T.check_finite(T.layernorm(T.add(x, attn), self.attn_ln_g, self.attn_ln_b),
+        a = T.check_finite(T.layernorm(attn, self.attn_ln_g, self.attn_ln_b, residual=x),
                            f"layer{self.index}.attn")
 
         y = T.dropout(moe_forward(a, self.ffn, self.routing, token_ids, mask), dropout_p, rng)
-        return T.check_finite(T.layernorm(T.add(a, y), self.ffn_ln_g, self.ffn_ln_b),
+        return T.check_finite(T.layernorm(y, self.ffn_ln_g, self.ffn_ln_b, residual=a),
                               f"layer{self.index}.ffn")
 
 
@@ -213,9 +200,6 @@ class EncoderModel:
     def is_moe(self) -> bool:
         return any(l.routing is not None for l in self.layers)
 
-    def count_total_params(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     # -- forward ------------------------------------------------------------
 
     def forward(self, token_ids: np.ndarray, mask: np.ndarray,
@@ -230,12 +214,13 @@ class EncoderModel:
             raise ValueError("token id outside the vocabulary")
         p, drop_rng = self.cfg.dropout, (rng if training else None)  # no rng: no dropout
 
-        emb = T.add(T.take(self.tok_emb, token_ids), T.take(self.pos_emb, np.arange(seq)))
-        x = T.check_finite(T.layernorm(emb, self.emb_ln_g, self.emb_ln_b), "embeddings")
-        x = T.dropout(x, p, drop_rng)
+        x = T.layernorm(T.take(self.tok_emb, token_ids), self.emb_ln_g, self.emb_ln_b,
+                        residual=T.take(self.pos_emb, np.arange(seq)))
+        x = T.dropout(T.check_finite(x, "embeddings"), p, drop_rng)
         hidden = [x]
+        bias = np.where(mask[:, None, None, :] > 0, 0.0, -1e9)  # padded keys get no attention
         for layer in self.layers:
-            x = layer.forward(x, mask, token_ids, p, drop_rng)
+            x = layer.forward(x, bias, mask, token_ids, p, drop_rng)
             hidden.append(x)
 
         cls_vec = T.reshape(T.take(x, np.asarray([0]), axis=1), (batch, self.cfg.embed_dim))
@@ -247,36 +232,32 @@ class EncoderModel:
 # -- analytic cost accounting ----------------------------------------------
 
 
+def _ffn_shape(cfg: ModelConfig) -> tuple[int, int]:
+    """(the FFN width one token runs through, the gate's column count) per layer."""
+    if cfg.moe is None:
+        return cfg.ffn_hidden, 0
+    return cfg.moe.expert_dim, (cfg.moe.num_experts if cfg.moe.routing == GATE else 0)
+
+
 def effective_param_count(cfg: ModelConfig) -> int:
     """Parameters touched computing one token's forward pass.
 
     Dense: every parameter. MoE: per layer, attention + a single expert's
     FFN + the gate weight (if any); embeddings and heads counted once.
     """
-    d, d_h = cfg.embed_dim, cfg.ffn_hidden
-    total = cfg.vocab_size * d + cfg.max_seq_len * d + 2 * d  # embeddings + ln
-    per_layer = 4 * (d * d + d) + 2 * d  # attention projections + ln
-    if cfg.moe is None:
-        per_layer += 2 * d * d_h + d_h + d
-    else:
-        e = cfg.moe.expert_dim
-        per_layer += 2 * d * e + e + d
-        if cfg.moe.routing == GATE:
-            per_layer += d * cfg.moe.num_experts
-    per_layer += 2 * d  # FFN sublayer ln
-    total += cfg.num_layers * per_layer
-    total += d * d + d  # pooler
-    total += d * cfg.num_labels + cfg.num_labels
-    return total
+    d, (width, gate) = cfg.embed_dim, _ffn_shape(cfg)
+    # attention projections, two layernorms, one FFN, the gate
+    per_layer = 4 * (d * d + d) + 4 * d + (2 * d * width + width + d) + d * gate
+    embeddings = (cfg.vocab_size + cfg.max_seq_len + 2) * d  # with their layernorm
+    return embeddings + cfg.num_layers * per_layer + d * d + d + (d + 1) * cfg.num_labels
 
 
 def total_param_count(cfg: ModelConfig) -> int:
     """All stored parameters (MoE counts every expert)."""
     if cfg.moe is None:
         return effective_param_count(cfg)
-    n, e = cfg.moe.num_experts, cfg.moe.expert_dim
-    extra_experts = (n - 1) * (2 * cfg.embed_dim * e + e + cfg.embed_dim)
-    return effective_param_count(cfg) + cfg.num_layers * extra_experts
+    n, e, d = cfg.moe.num_experts, cfg.moe.expert_dim, cfg.embed_dim
+    return effective_param_count(cfg) + cfg.num_layers * (n - 1) * (2 * d * e + e + d)
 
 
 def flops_breakdown(cfg: ModelConfig, seq_len: int | None = None) -> dict[str, int]:
@@ -286,14 +267,8 @@ def flops_breakdown(cfg: ModelConfig, seq_len: int | None = None) -> dict[str, i
     experts. Attention score/mix terms scale with ``seq_len`` (defaults to
     the configured maximum).
     """
-    d, d_h = cfg.embed_dim, cfg.ffn_hidden
-    s = seq_len or cfg.max_seq_len
-    attn = cfg.num_layers * (4 * d * d + 2 * s * d)
-    width = d_h if cfg.moe is None else cfg.moe.expert_dim
-    ffn = cfg.num_layers * 2 * d * width
-    gate = 0
-    if cfg.moe is not None and cfg.moe.routing == GATE:
-        gate = cfg.num_layers * d * cfg.moe.num_experts
-    head = d * d + d * cfg.num_labels
-    return {"attention": attn, "ffn": ffn, "gate": gate, "head": head,
-            "total": attn + ffn + gate + head}
+    d, (width, gate), layers = cfg.embed_dim, _ffn_shape(cfg), cfg.num_layers
+    terms = {"attention": layers * (4 * d * d + 2 * (seq_len or cfg.max_seq_len) * d),
+             "ffn": layers * 2 * d * width, "gate": layers * d * gate,
+             "head": d * d + d * cfg.num_labels}
+    return {**terms, "total": sum(terms.values())}

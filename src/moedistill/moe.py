@@ -60,18 +60,6 @@ class ExpertSet:
     def parameters(self) -> list[Tensor]:
         return [*self.w1, *self.b1, *self.w2, *self.b2]
 
-    def shared_columns(self) -> set[int]:
-        shared = set(self.provenance[0].tolist())
-        for prov in self.provenance[1:]:
-            shared &= set(prov.tolist())
-        return shared
-
-    def discarded_columns(self, d_h: int) -> set[int]:
-        used = set()
-        for prov in self.provenance:
-            used |= set(prov.tolist())
-        return set(range(d_h)) - used
-
 
 @dataclass
 class RoutingTable:

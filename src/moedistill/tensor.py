@@ -46,8 +46,9 @@ class NonFiniteError(FloatingPointError):
 
     Ops do not scan their outputs: NaN and Inf carry forward through
     arithmetic, so models call ``check_finite`` at sublayer boundaries. Only
-    ops that can map a non-finite value to a finite one (``clamp``, ``tanh``,
-    ``softmax``) scan their input, and ``log``, which runs with
+    ops that can map a non-finite value to a finite one (``tanh``,
+    ``softmax``, ``kl_div``'s clamp) scan their input, ``attention`` scans its
+    pre-softmax scores under the name ``softmax``, and ``log``, which runs with
     floating-point warnings silenced, scans its output.
     """
 
@@ -174,6 +175,26 @@ def _make(op: str, out: np.ndarray, parents) -> Tensor:
     return t
 
 
+def _records(inputs) -> bool:
+    """The rule ``_make`` applies: a node is recorded iff grad is on and some input is on a graph."""
+    return _grad_enabled and any(x.requires_grad or x._parents for x in inputs)
+
+
+def _fused(op: str, out: np.ndarray, params: list, grads) -> Tensor:
+    """A node over ``params`` whose ``grads(g)`` returns every parent's
+    gradient at once (None for no gradient); it runs once per output gradient."""
+    if not _records(params):
+        return _make(op, out, [])
+    memo = [None, None]  # (output gradient, every parent's gradient from it)
+
+    def grad(g, i):
+        if memo[0] is not g:
+            memo[:] = g, grads(g)
+        return memo[1][i]
+
+    return _make(op, out, [(x, lambda g, i=i: grad(g, i)) for i, x in enumerate(params)])
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``g`` down to ``shape`` undoing numpy broadcasting."""
     if g.shape == shape:
@@ -199,18 +220,6 @@ def add(a, b) -> Tensor:
     return _make("add", out, [
         (a, lambda g: _unbroadcast(g, a.data.shape)),
         (b, lambda g: _unbroadcast(g, b.data.shape)),
-    ])
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ShapeError("sub", a.shape, b.shape) from None
-    return _make("sub", out, [
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(-g, b.data.shape)),
     ])
 
 
@@ -245,13 +254,6 @@ def matmul(a, b) -> Tensor:
         return _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
 
     return _make("matmul", out, [(a, grad_a), (b, grad_b)])
-
-
-def clamp(a, lo: float, hi: float) -> Tensor:
-    a = check_finite(as_tensor(a), "clamp")
-    out = np.clip(a.data, lo, hi)
-    inside = (a.data >= lo) & (a.data <= hi)
-    return _make("clamp", out, [(a, lambda g: g * inside)])
 
 
 def log(a) -> Tensor:
@@ -293,14 +295,6 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t + x * (1.0 - t * t) * dinner)
 
 
-def gelu(a) -> Tensor:
-    """GELU, tanh approximation (see ``_gelu_tanh``)."""
-    a = as_tensor(a)
-    x = a.data
-    out, t = _gelu_tanh(x, keep_t=True)
-    return _make("gelu", out, [(a, lambda g: g * _gelu_grad(x, t))])
-
-
 def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None) -> Tensor:
     """``y[r] = scale[r] · FFN_{route[r]}(a[r])`` over the rows of ``a`` (..., d), as one graph node.
 
@@ -335,13 +329,11 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None) -> Tensor:
         order = inv = slice(None)
     xs = a.data.reshape(-1, d)[order]
     params = [a] + [x for ws in experts for x in ws] + ([] if scale is None else [scale])
-    # the rule ``_make`` applies: a node is recorded iff some input is on a graph
-    record = _grad_enabled and any(x.requires_grad or x._parents for x in params)
     z = np.empty((flat.size, k))
     for e, lo, hi in spans:
         np.matmul(xs[lo:hi], w1s[e].data, out=z[lo:hi])
         z[lo:hi] += b1s[e].data
-    h, t = _gelu_tanh(z, keep_t=record)
+    h, t = _gelu_tanh(z, keep_t=_records(params))
     ys = np.empty((flat.size, d_out))
     for e, lo, hi in spans:
         np.matmul(h[lo:hi], w2s[e].data, out=ys[lo:hi])
@@ -350,14 +342,8 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None) -> Tensor:
         s = scale.data.reshape(-1)[order, None]
         unscaled, ys = ys, ys * s
     out = ys[inv].reshape(route.shape + (d_out,))
-    if not record:
-        return _make("moe_ffn", out, [])
-
-    memo = [None, None]  # (output gradient, every parent's gradient from it)
 
     def grads(g):
-        if memo[0] is g:
-            return memo[1]
         gs = g.reshape(-1, d_out)[order]
         gy = gs if scale is None else gs * s
         dz = np.empty_like(z)
@@ -373,10 +359,9 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None) -> Tensor:
         pgs[0] = gx[inv].reshape(a.shape)
         if scale is not None:
             pgs[-1] = (gs * unscaled).sum(axis=1)[inv].reshape(route.shape)
-        memo[:] = g, pgs
         return pgs
 
-    return _make("moe_ffn", out, [(x, lambda g, i=i: grads(g)[i]) for i, x in enumerate(params)])
+    return _fused("moe_ffn", out, params, grads)
 
 
 # -- reductions and reshaping ----------------------------------------------
@@ -398,13 +383,6 @@ def reshape(a, shape) -> Tensor:
     return _make("reshape", out, [(a, lambda g: g.reshape(a.data.shape))])
 
 
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    out = a.data.transpose(axes)
-    inv = np.argsort(axes)
-    return _make("transpose", out, [(a, lambda g: g.transpose(inv))])
-
-
 def take(a, idx, axis: int = 0) -> Tensor:
     """Select rows along ``axis`` by integer index (gather)."""
     a = as_tensor(a)
@@ -422,45 +400,121 @@ def take(a, idx, axis: int = 0) -> Tensor:
 # -- fused neural-net ops ---------------------------------------------------
 
 
+def _softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis of ``x``, into ``out`` (which may be ``x``);
+    a non-finite ``x``, which softmax could map to finite values, raises."""
+    if not np.isfinite(x).all():
+        raise NonFiniteError("softmax")
+    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_grad(probs: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return probs * (g - (g * probs).sum(axis=-1, keepdims=True))
+
+
 def softmax(a) -> Tensor:
     """Softmax over the last axis."""
-    a = check_finite(as_tensor(a), "softmax")
-    x = a.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def grad(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return out * (g - dot)
-
-    return _make("softmax", out, [(a, grad)])
+    a = as_tensor(a)
+    out = _softmax(a.data)
+    return _make("softmax", out, [(a, lambda g: _softmax_grad(out, g))])
 
 
-def layernorm(x, gamma, beta) -> Tensor:
-    """Layer normalization over the last axis."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, bias: np.ndarray, heads: int,
+              dropout_p: float, rng: np.random.Generator | None) -> Tensor:
+    """Multi-head self-attention over ``x`` (batch, seq, d), as one graph node.
+
+    Per head, ``softmax(Q Kᵀ / √dk + bias) V`` where Q, K and V are column
+    blocks of width dk of ``x·Wq + bq``, ``x·Wk + bk`` and ``x·Wv + bv``; the
+    heads' outputs, side by side, are projected by ``·Wo + bo``. ``bias``
+    broadcasts against the (batch, heads, seq, seq) scores: 0 for a key, -1e9
+    for a padded one. The scores are scanned under the name ``softmax``.
+    Dropout masks the probabilities, then the output, drawn from ``rng`` in
+    that order. Q, K, V, the probabilities and the masks are kept only when
+    the node is recorded.
+    """
+    params = [as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv, wo, bo)]
+    x = params[0]
+    d = x.shape[-1] if x.ndim == 3 else 0
+    if not d or d % heads or [t.shape for t in params[1:]] != [(d, d), (d,)] * 4:
+        raise ShapeError("attention", *(t.shape for t in params))
+    batch, seq, dk, scale = x.shape[0], x.shape[1], d // heads, 1.0 / math.sqrt(d // heads)
+    drop = dropout_p > 0.0 and rng is not None
+    w_qkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)  # one GEMM for Q, K and V
+    x2 = x.data.reshape(-1, d)
+    qkv = x2 @ w_qkv
+    qkv += np.concatenate([bq.data, bk.data, bv.data])
+    q, k, v = qkv.reshape(batch, seq, 3, heads, dk).transpose(2, 0, 3, 1, 4)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= scale
+    scores += bias
+    probs = _softmax(scores, out=scores)
+    keep_p = _dropout_keep(probs.shape, dropout_p, rng) if drop else None
+    probs_d = probs if keep_p is None else probs * keep_p
+    ctx = (probs_d @ v).transpose(0, 2, 1, 3).reshape(-1, d)
+    y = ctx @ wo.data
+    y += bo.data
+    keep_o = _dropout_keep(y.shape, dropout_p, rng) if drop else None
+    if keep_o is not None:
+        y *= keep_o
+
+    def grads(g):
+        gy = g.reshape(-1, d) if keep_o is None else g.reshape(-1, d) * keep_o
+        gctx = (gy @ wo.data.T).reshape(batch, seq, heads, dk).transpose(0, 2, 1, 3)
+        gprobs = gctx @ v.transpose(0, 1, 3, 2)
+        if keep_p is not None:
+            gprobs *= keep_p
+        gscores = _softmax_grad(probs, gprobs)
+        gscores *= scale
+        gqkv = np.empty((batch, seq, 3, heads, dk))
+        gq, gk, gv = gqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(gscores, k, out=gq)
+        np.matmul(gscores.transpose(0, 1, 3, 2), q, out=gk)
+        np.matmul(probs_d.transpose(0, 1, 3, 2), gctx, out=gv)
+        gqkv = gqkv.reshape(-1, 3 * d)
+        gw, gb = x2.T @ gqkv, gqkv.sum(axis=0)
+        return ([(gqkv @ w_qkv.T).reshape(x.shape)]
+                + [part[..., i * d:(i + 1) * d] for i in range(3) for part in (gw, gb)]
+                + [ctx.T @ gy, gy.sum(axis=0)])
+
+    return _fused("attention", y.reshape(x.shape), params, grads)
+
+
+def layernorm(x, gamma, beta, residual=None) -> Tensor:
+    """Layer normalization over the last axis; of ``x + residual``, in the same
+    node, when a residual is given (it may broadcast against ``x``)."""
+    params = [as_tensor(t) for t in (x, gamma, beta) + (() if residual is None else (residual,))]
+    x, gamma, beta = params[:3]
     d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError("layernorm", x.shape, gamma.shape, beta.shape)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + 1e-12)
-    xhat = (x.data - mu) * inv
-    out = gamma.data * xhat + beta.data
+    try:
+        s = x.data if residual is None else x.data + params[3].data
+    except ValueError:
+        s = None
+    if s is None or gamma.shape != (d,) or beta.shape != (d,):
+        raise ShapeError("layernorm", *(t.shape for t in params))
+    # sum / d is np.mean (and np.var) bit for bit, without its Python overhead
+    xc = s - s.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + 1e-12)
+    xhat = np.multiply(xc, inv, out=xc)
+    out = gamma.data * xhat
+    out += beta.data
 
-    def grad_x(g):
+    def grads(g):
         gx = g * gamma.data
-        return inv * (gx - gx.mean(axis=-1, keepdims=True)
-                      - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        gs = gx - gx.sum(axis=-1, keepdims=True) / d
+        gs -= xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / d)
+        gs *= inv
+        return [_unbroadcast(gs, x.data.shape), (g * xhat).reshape(-1, d).sum(axis=0),
+                g.reshape(-1, d).sum(axis=0)] + [_unbroadcast(gs, r.data.shape) for r in params[3:]]
 
-    def grad_gamma(g):
-        return (g * xhat).reshape(-1, d).sum(axis=0)
+    return _fused("layernorm", out, params, grads)
 
-    def grad_beta(g):
-        return g.reshape(-1, d).sum(axis=0)
 
-    return _make("layernorm", out, [(x, grad_x), (gamma, grad_gamma), (beta, grad_beta)])
+def _dropout_keep(shape: tuple, p: float, rng: np.random.Generator) -> np.ndarray:
+    """An inverted-dropout mask: 0 with probability ``p``, else ``1 / (1 - p)``."""
+    return (rng.random(shape) >= p) / (1.0 - p)
 
 
 def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
@@ -468,8 +522,7 @@ def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
     a = as_tensor(a)
     if p <= 0.0 or rng is None:
         return a
-    keep = (rng.random(a.shape) >= p) / (1.0 - p)
-    return mul(a, Tensor(keep))
+    return mul(a, Tensor(_dropout_keep(a.shape, p, rng)))
 
 
 def mse(pred, target, mask=None) -> Tensor:
@@ -479,37 +532,37 @@ def mse(pred, target, mask=None) -> Tensor:
     if pred.shape != target.shape:
         raise ShapeError("mse", pred.shape, target.shape)
     diff = pred.data - target.data
-    if mask is None:
-        w = np.ones(pred.shape)
-        count = diff.size
-    else:
-        m = np.asarray(mask, dtype=np.float64)
-        w = m.reshape(m.shape + (1,) * (pred.ndim - m.ndim))
-        w = np.broadcast_to(w, pred.shape)
-        count = w.sum()
-        if count == 0:
-            raise ShapeError("mse", mask.shape)
+    m = np.ones(pred.shape[:1]) if mask is None else np.asarray(mask, dtype=np.float64)
+    w = np.broadcast_to(m.reshape(m.shape + (1,) * (pred.ndim - m.ndim)), pred.shape)
+    count = w.sum()
+    if count == 0:
+        raise ShapeError("mse", m.shape)
     out = np.asarray((w * diff * diff).sum() / count)
 
-    def grad_pred(g):
-        return g * 2.0 * w * diff / count
+    def grads(g):
+        gp = g * 2.0 * w * diff / count
+        return [gp, -gp]
 
-    def grad_target(g):
-        return -g * 2.0 * w * diff / count
-
-    return _make("mse", out, [(pred, grad_pred), (target, grad_target)])
+    return _fused("mse", out, [pred, target], grads)
 
 
 def kl_div(p, q) -> Tensor:
-    """KL(p‖q) per row, averaged over rows; inputs clamped to [1e-12, 1]."""
+    """KL(p‖q) per row, averaged over rows, as one node; inputs are clamped to
+    [1e-12, 1], and a non-finite input raises ``NonFiniteError("kl_div")``."""
     p, q = as_tensor(p), as_tensor(q)
     if p.shape != q.shape:
         raise ShapeError("kl_div", p.shape, q.shape)
-    pc = clamp(p, 1e-12, 1.0)
-    qc = clamp(q, 1e-12, 1.0)
     rows = int(np.prod(p.shape[:-1])) if p.ndim > 1 else 1
-    per_elem = mul(pc, sub(log(pc), log(qc)))
-    return mul(tsum(per_elem), 1.0 / rows)
+    pc, qc = (np.clip(check_finite(t, "kl_div").data, 1e-12, 1.0) for t in (p, q))
+    log_ratio = np.log(pc) - np.log(qc)
+    out = np.asarray((pc * log_ratio).sum() * (1.0 / rows))
+
+    def grads(g):  # the clamps pass a gradient only inside [1e-12, 1]
+        g = g * (1.0 / rows)
+        return [g * (log_ratio + 1.0) * ((p.data >= 1e-12) & (p.data <= 1.0)),
+                -g * pc / qc * ((q.data >= 1e-12) & (q.data <= 1.0))]
+
+    return _fused("kl_div", out, [p, q], grads)
 
 
 def cross_entropy_logits(logits, labels) -> Tensor:

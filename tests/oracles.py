@@ -1,8 +1,11 @@
 """Reference implementations kept as test oracles for the ops that replaced them,
-and the dense FFN as the tests call it."""
+the dense FFN as the tests call it, and helpers only the tests use."""
+
+import math
 
 import numpy as np
 
+from moedistill import data as D
 from moedistill import moe as M
 from moedistill import tensor as T
 
@@ -19,6 +22,58 @@ def scatter_rows(values, idx, num_rows: int) -> T.Tensor:
     return T._make("scatter", out, [(values, lambda g: g[idx])])
 
 
+def gelu(a) -> T.Tensor:
+    """GELU, tanh approximation, as its own node; the oracle for the GELU inside ``moe_ffn``."""
+    a = T.as_tensor(a)
+    x = a.data
+    out, t = T._gelu_tanh(x, keep_t=True)
+    return T._make("gelu", out, [(a, lambda g: g * T._gelu_grad(x, t))])
+
+
+def transpose(a, axes) -> T.Tensor:
+    a = T.as_tensor(a)
+    out = a.data.transpose(axes)
+    inv = np.argsort(axes)
+    return T._make("transpose", out, [(a, lambda g: g.transpose(inv))])
+
+
+def composed_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, mask, heads, dropout_p, rng) -> T.Tensor:
+    """Multi-head self-attention as the chain of about 17 graph ops that
+    ``EncoderLayer.forward`` ran before ``tensor.attention``; its oracle."""
+    batch, seq, d = x.shape
+    h = heads
+    dk = d // h
+
+    def split(t):
+        return transpose(T.reshape(t, (batch, seq, h, dk)), (0, 2, 1, 3))
+
+    q = split(T.add(T.matmul(x, wq), bq))
+    k = split(T.add(T.matmul(x, wk), bk))
+    v = split(T.add(T.matmul(x, wv), bv))
+    scores = T.mul(T.matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dk))
+    bias = np.where(mask[:, None, None, :] > 0, 0.0, -1e9)
+    probs = T.dropout(T.softmax(T.add(scores, T.Tensor(bias))), dropout_p, rng)
+    ctx = transpose(T.matmul(probs, v), (0, 2, 1, 3))
+    ctx = T.reshape(ctx, (batch, seq, d))
+    return T.dropout(T.add(T.matmul(ctx, wo), bo), dropout_p, rng)
+
+
+def shared_columns(experts: M.ExpertSet) -> set[int]:
+    """The original FFN columns that every expert holds."""
+    shared = set(experts.provenance[0].tolist())
+    for prov in experts.provenance[1:]:
+        shared &= set(prov.tolist())
+    return shared
+
+
+def discarded_columns(experts: M.ExpertSet, d_h: int) -> set[int]:
+    """The original FFN columns, of ``d_h``, that no expert holds."""
+    used = set()
+    for prov in experts.provenance:
+        used |= set(prov.tolist())
+    return set(range(d_h)) - used
+
+
 def one_expert_ffn(a, w1, b1, w2, b2) -> T.Tensor:
     """A dense FFN through ``moe_ffn``: one expert and a zero route."""
     return T.moe_ffn(a, np.zeros(a.shape[:-1], dtype=np.int64), [w1], [b1], [w2], [b2])
@@ -26,7 +81,7 @@ def one_expert_ffn(a, w1, b1, w2, b2) -> T.Tensor:
 
 def composed_ffn(a, w1, b1, w2, b2) -> T.Tensor:
     """The two-layer FFN as its five-op chain; the oracle for the fused ``moe_ffn``."""
-    return T.add(T.matmul(T.gelu(T.add(T.matmul(a, w1), b1)), w2), b2)
+    return T.add(T.matmul(gelu(T.add(T.matmul(a, w1), b1)), w2), b2)
 
 
 def moe_forward_per_expert(attn_out, experts, routing, token_ids, mask) -> T.Tensor:
@@ -71,3 +126,25 @@ def moe_forward_per_expert(attn_out, experts, routing, token_ids, mask) -> T.Ten
         piece = scatter_rows(y, idx, batch * seq)
         total = piece if total is None else T.add(total, piece)
     return T.reshape(total, (batch, seq, d))
+
+
+def bayes_accuracy(task: D.SyntheticTask, split: str = "eval") -> float:
+    """Accuracy of the majority-signal-token classifier on a split."""
+    owner = {}
+    for c, toks in enumerate(task.signal_tokens):
+        for t in toks:
+            owner[t] = c
+    pairs = task.eval if split == "eval" else task.train
+    correct = 0
+    for text, label in pairs:
+        votes = np.zeros(task.n_classes)
+        for t in text.split():
+            if t in owner:
+                votes[owner[t]] += 1
+        correct += int(np.argmax(votes) == label)
+    return correct / len(pairs)
+
+
+def count_total_params(model) -> int:
+    """Every stored parameter of ``model``, by enumeration."""
+    return sum(p.data.size for p in model.parameters())

@@ -26,6 +26,7 @@ from moedistill.model import (EncoderModel, ModelConfig, MoEConfig,
                               total_param_count)
 from moedistill.moe import adapt_ffn, routing_loads
 from moedistill.pipeline import adapt_model, bench_inference
+from oracles import discarded_columns, shared_columns
 
 
 def train_cfg(**kw):
@@ -114,7 +115,7 @@ def test_criterion_4_structural_counts():
     experts = adapt_ffn(rng.normal(size=(d, d_h)), rng.normal(size=d_h),
                         rng.normal(size=(d_h, d)), rng.normal(size=d),
                         ordering, n, s)
-    shared = experts.shared_columns()
+    shared = shared_columns(experts)
     assert shared == set(ordering[:s].tolist())
     uniques = []
     for prov in experts.provenance:
@@ -124,7 +125,7 @@ def test_criterion_4_structural_counts():
     for i in range(n):
         for j in range(i + 1, n):
             assert not uniques[i] & uniques[j]
-    discarded = experts.discarded_columns(d_h)
+    discarded = discarded_columns(experts, d_h)
     assert len(discarded) == 1536
     assert discarded == set(ordering[s + n * 256:].tolist())
 

@@ -11,7 +11,7 @@ from moedistill.model import (EncoderModel, ModelConfig, MoEConfig,
                               total_param_count)
 from moedistill.pipeline import adapt_model
 from moedistill.tensor import Tensor, ShapeError, NonFiniteError
-from oracles import one_expert_ffn
+from oracles import count_total_params, one_expert_ffn
 
 
 def small_cfg(**kw):
@@ -114,7 +114,7 @@ class TestParamCounting:
     def test_dense_effective_equals_enumeration(self):
         cfg = small_cfg()
         model = EncoderModel(cfg, seed=0)
-        assert effective_param_count(cfg) == model.count_total_params()
+        assert effective_param_count(cfg) == count_total_params(model)
 
     def test_dense_parameter_names(self):
         # checkpoints and outside readers address a dense FFN by these names
@@ -152,7 +152,7 @@ class TestParamCounting:
         table = ImportanceTable(
             {l: np.arange(32, dtype=float)[::-1].copy() for l in range(2)}, 1)
         student = adapt_model(teacher, table, moe, np.ones(50), seed=0)
-        assert student.count_total_params() == total_param_count(cfg)
+        assert count_total_params(student) == total_param_count(cfg)
 
     def test_paper_shaped_ratio(self):
         # BERT-base shape: the MoE effective/dense ratio should land near 66/110
@@ -307,3 +307,13 @@ class TestFiniteness:
             m.setattr(T, "_make", _scanning_make)
             oracle, _ = model.forward(ids, mask)
         assert np.array_equal(plain.data, oracle.data)
+
+
+@pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
+def test_nan_in_value_weights_is_named_by_the_attention_scope(kind, monkeypatch):
+    # V does not reach the scores that the fused attention scans, so the
+    # sublayer's boundary check names it
+    model = _tiny_models()[kind]
+    model.layers[0].wv.data.fill(np.nan)
+    with np.errstate(all="ignore"):
+        assert _forward_raises(model, True, False, monkeypatch) == "layer0.attn"

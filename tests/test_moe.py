@@ -7,7 +7,7 @@ from moedistill import moe as M
 from moedistill import tensor as T
 from moedistill.distill import Adam
 from moedistill.tensor import Tensor
-from oracles import moe_forward_per_expert
+from oracles import discarded_columns, moe_forward_per_expert, shared_columns
 
 
 def make_ffn(d, d_h, seed=0):
@@ -31,8 +31,8 @@ class TestAdaptFfn:
         es = M.adapt_ffn(w1, b1, w2, b2, ordering, num_experts=2, shared_dim=1)
         assert es.provenance[0].tolist() == [2, 0]
         assert es.provenance[1].tolist() == [2, 3]
-        assert es.discarded_columns(4) == {1}
-        assert es.shared_columns() == {2}
+        assert discarded_columns(es, 4) == {1}
+        assert shared_columns(es) == {2}
 
     def test_single_expert_is_permutation_of_dense(self):
         d, d_h = 4, 6
@@ -53,28 +53,28 @@ class TestAdaptFfn:
         ordering = np.arange(d_h)
         es = M.adapt_ffn(w1, b1, w2, b2, ordering, n, s)
         assert es.expert_dim == 768
-        shared = es.shared_columns()
+        shared = shared_columns(es)
         assert len(shared) == s
         for prov in es.provenance:
             assert len(set(prov.tolist()) - shared) == 256
-        assert len(es.discarded_columns(d_h)) == 1536
+        assert len(discarded_columns(es, d_h)) == 1536
 
     def test_nonshared_columns_pairwise_disjoint(self):
         w1, b1, w2, b2 = make_ffn(3, 12)
         es = M.adapt_ffn(w1, b1, w2, b2, np.arange(12), 3, 2)
-        shared = es.shared_columns()
+        shared = shared_columns(es)
         uniques = [set(p.tolist()) - shared for p in es.provenance]
         for i in range(len(uniques)):
             for j in range(i + 1, len(uniques)):
                 assert not (uniques[i] & uniques[j])
         # discard count = (N-1)*s when N*expert_dim == d_h
-        assert len(es.discarded_columns(12)) == (3 - 1) * 2
+        assert len(discarded_columns(es, 12)) == (3 - 1) * 2
 
     def test_inverse_reverses(self):
         w1, b1, w2, b2 = make_ffn(2, 4)
         ordering = np.array([3, 1, 0, 2])
         es = M.adapt_ffn(w1, b1, w2, b2, ordering, 2, 1, mode=M.ADAPT_INVERSE)
-        assert es.shared_columns() == {2}  # least important becomes shared
+        assert shared_columns(es) == {2}  # least important becomes shared
 
     def test_random_needs_rng_and_is_seeded(self):
         w1, b1, w2, b2 = make_ffn(2, 8)

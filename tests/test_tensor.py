@@ -1,10 +1,13 @@
+import contextlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from moedistill import tensor as T
 from moedistill.tensor import Tensor, ShapeError, NonFiniteError
-from oracles import composed_ffn, one_expert_ffn, scatter_rows
+from oracles import composed_attention, composed_ffn, gelu, one_expert_ffn, scatter_rows
 
 
 def rand(shape, seed):
@@ -44,7 +47,7 @@ class TestForwardOps:
 
     def test_gelu_at_one_matches_closed_form(self):
         # frozen from an independent evaluation of the tanh approximation
-        out = T.gelu(Tensor(np.array(1.0).reshape(1, 1)))
+        out = gelu(Tensor(np.array(1.0).reshape(1, 1)))
         assert out.data[0, 0] == pytest.approx(0.8411919906082768, abs=1e-15)
 
     def test_kl_self_is_zero(self):
@@ -94,7 +97,7 @@ class TestBackward:
         target = Tensor(rand((3, 3), 12))
 
         def f():
-            return T.mse(T.gelu(T.matmul(a, b)), target)
+            return T.mse(gelu(T.matmul(a, b)), target)
 
         err = T.finite_diff_check(f, [a, b], n_samples=18)
         assert err <= 1e-6
@@ -110,7 +113,7 @@ class TestBackward:
         labels = rng.integers(0, 4, size=2)
 
         def f():
-            h = T.layernorm(T.gelu(T.matmul(x, w)), g, b)
+            h = T.layernorm(gelu(T.matmul(x, w)), g, b)
             p = T.softmax(h)
             ce = T.cross_entropy_logits(h, labels)
             kl = T.kl_div(p, T.softmax(target))
@@ -183,16 +186,16 @@ class TestFusedFFN:
     def test_gelu_matches_closed_form_with_pow_cube(self):
         x = np.linspace(-12.0, 12.0, 4801)
         closed = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
-        np.testing.assert_allclose(T.gelu(Tensor(x)).data, closed, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(gelu(Tensor(x)).data, closed, rtol=1e-12, atol=1e-15)
 
     def test_gelu_gradient_matches_finite_diff(self):
         # elementwise central differences: a finite-difference check of the
         # summed output would lose the tiny tail gradients to cancellation
         x = np.linspace(-12.0, 12.0, 97)
         xt = Tensor(x, requires_grad=True)
-        T.tsum(T.gelu(xt)).backward()
+        T.tsum(gelu(xt)).backward()
         step = 1e-6
-        numeric = (T.gelu(Tensor(x + step)).data - T.gelu(Tensor(x - step)).data) / (2 * step)
+        numeric = (gelu(Tensor(x + step)).data - gelu(Tensor(x - step)).data) / (2 * step)
         np.testing.assert_allclose(xt.grad, numeric, rtol=1e-6, atol=1e-8)
 
 
@@ -287,6 +290,113 @@ class TestMoeFFN:
             T.moe_ffn(a, self.ROUTE, *weights)
 
 
+# the key mask of ``test_model._tiny_batch``: its second sentence pads two keys
+PADDED = np.array([[1.0, 1, 1, 1, 1], [1, 1, 1, 0, 0]])
+
+
+def attention_params(seed, batch=2, seq=5, d=8):
+    """x (batch, seq, d), then wq, bq, wk, bk, wv, bv, wo, bo, all trainable."""
+    rng = np.random.default_rng(seed)
+    shapes = [(batch, seq, d)] + [(d, d), (d,)] * 4
+    return [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+
+
+def key_bias(mask):
+    return np.where(mask[:, None, None, :] > 0, 0.0, -1e9)
+
+
+class TestAttention:
+    HEADS = 2
+
+    @pytest.mark.parametrize("p, mask", [(0.0, np.ones((2, 5))), (0.3, np.ones((2, 5))),
+                                         (0.0, PADDED), (0.3, PADDED)])
+    def test_forward_and_gradients_match_composed_chain(self, p, mask):
+        weight = Tensor(rand((2, 5, 8), 11))
+        results = []
+        for fused in (True, False):
+            params = attention_params(seed=4)
+            rng = np.random.default_rng(5)  # the same seed, so the same dropout masks
+            if fused:
+                out = T.attention(*params, key_bias(mask), self.HEADS, p, rng)
+            else:
+                out = composed_attention(*params, mask, self.HEADS, p, rng)
+            T.tsum(T.mul(out, weight)).backward()
+            results.append([out.data] + [t.grad for t in params])
+        # softmax ignores a shift shared by all of a query's scores, so bk's
+        # exact gradient is 0 and both ops give rounding noise for it: bound
+        # that noise by the scale of wk's gradient instead
+        scale = np.max(np.abs(results[1][4]))
+        for bk in (results[0].pop(5), results[1].pop(5)):
+            assert np.max(np.abs(bk)) <= 1e-12 * scale
+        for fused, oracle in zip(*results):
+            assert_rel_close(fused, oracle, 1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_match_finite_diff(self, seed):
+        params = attention_params(seed)
+        weight = Tensor(rand((2, 5, 8), seed + 100))
+
+        def f():
+            out = T.attention(*params, key_bias(PADDED), self.HEADS, 0.3,
+                              np.random.default_rng(seed))
+            return T.tsum(T.mul(out, weight))
+
+        checked = params[:4] + params[5:]  # bk's exact gradient is 0 (see above)
+        err = T.finite_diff_check(f, checked, n_samples=40, rng=np.random.default_rng(seed))
+        assert err <= 1e-6
+
+    def test_no_grad_keeps_no_parents_or_arrays(self):
+        params = attention_params(0, seq=32)
+        bias = key_bias(np.ones((2, 32)))
+        probs_bytes = 2 * self.HEADS * 32 * 32 * 8
+
+        def retained(grad):
+            """The op's output and the bytes still allocated once it returns."""
+            tracemalloc.start()
+            try:
+                with contextlib.nullcontext() if grad else T.no_grad():
+                    out = T.attention(*params, bias, self.HEADS, 0.0, None)
+                return out, tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        out, kept = retained(False)
+        assert out._parents == [] and not out.requires_grad
+        assert kept < probs_bytes
+        out, kept = retained(True)
+        assert len(out._parents) == 9 and kept > probs_bytes
+
+    def test_mismatched_shapes_raise(self):
+        params = attention_params(0)
+        with pytest.raises(ShapeError, match="attention"):
+            T.attention(*params, key_bias(PADDED), 3, 0.0, None)  # 3 does not divide 8
+        params[7] = Tensor(np.zeros((8, 4)))
+        with pytest.raises(ShapeError, match="attention"):
+            T.attention(*params, key_bias(PADDED), self.HEADS, 0.0, None)
+
+
+class TestResidualLayernorm:
+    @pytest.mark.parametrize("residual_shape", [(2, 5, 8), (5, 8)])
+    def test_matches_add_then_layernorm(self, residual_shape):
+        weight = Tensor(rand((2, 5, 8), 21))
+        results = []
+        for fused in (True, False):
+            rng = np.random.default_rng(6)
+            x, r = (Tensor(rng.normal(size=s), requires_grad=True)
+                    for s in ((2, 5, 8), residual_shape))
+            g, b = (Tensor(rng.normal(size=8), requires_grad=True) for _ in range(2))
+            out = T.layernorm(x, g, b, residual=r) if fused else T.layernorm(T.add(x, r), g, b)
+            T.tsum(T.mul(out, weight)).backward()
+            results.append([out.data] + [t.grad for t in (x, r, g, b)])
+        for fused, oracle in zip(*results):
+            assert_rel_close(fused, oracle, 1e-12)
+
+    def test_mismatched_residual_raises(self):
+        with pytest.raises(ShapeError, match="layernorm"):
+            T.layernorm(Tensor(rand((2, 5, 8), 0)), Tensor(np.ones(8)), Tensor(np.zeros(8)),
+                        residual=Tensor(rand((4, 8), 1)))
+
+
 class TestMatmulWeightGrad:
     @pytest.mark.parametrize("lead", [(5,), (3, 5), (2, 3, 5)])
     def test_matches_batched_expression(self, lead):
@@ -338,7 +448,7 @@ def test_broadcast_add_grad_matches_fd(seed):
     b = Tensor(rng.normal(size=(4,)), requires_grad=True)
 
     def f():
-        return T.tsum(T.gelu(T.add(x, b)))
+        return T.tsum(gelu(T.add(x, b)))
 
     # 1e-6: the stencil's cancellation noise is about 1e-13 of the summed
     # objective, so only sampled coordinates whose GELU derivative is below
