@@ -59,6 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> pl.RunConfig:
+    if getattr(args, "repeats", 1) < 1:
+        raise pl.ConfigError(f"--repeats must be at least 1, got {args.repeats}")
     cfg = pl.RunConfig.from_json_file(args.config)
     if args.seed is not None:
         cfg.seed = args.seed

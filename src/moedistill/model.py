@@ -210,7 +210,7 @@ class EncoderModel:
         batch, seq = token_ids.shape
         if seq > self.cfg.max_seq_len:
             raise ShapeError("encoder_forward", (batch, seq), (self.cfg.max_seq_len,))
-        if token_ids.max(initial=0) >= self.cfg.vocab_size:
+        if token_ids.min(initial=0) < 0 or token_ids.max(initial=0) >= self.cfg.vocab_size:
             raise ValueError("token id outside the vocabulary")
         p, drop_rng = self.cfg.dropout, (rng if training else None)  # no rng: no dropout
 

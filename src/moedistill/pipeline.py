@@ -209,7 +209,7 @@ def bench_inference(model: EncoderModel, dataset: Dataset, repeats: int = 5) -> 
 
     for _ in range(2):
         one_pass()
-    times = sorted(one_pass() for _ in range(max(1, repeats)))
+    times = sorted(one_pass() for _ in range(repeats))
     median = times[len(times) // 2]
     return {
         "examples_per_second": len(batches) / median,

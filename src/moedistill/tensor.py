@@ -1,9 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Small by design: exactly the operations needed for an encoder transformer,
-its MoE variant, and the training losses. Everything is numpy underneath;
-graphs are built implicitly through parent pointers and walked once in
-reverse topological order by ``backward``.
+its MoE variant, and the training losses. Everything is numpy underneath.
+
+Every op makes one graph node, ``_make(op, out, parents, grads)``: ``out`` is
+its value, ``parents`` the input tensors, and ``grads(g)`` maps the output
+gradient ``g`` to one gradient per parent (None for no gradient), all at
+once. ``backward`` walks the nodes once in reverse topological order and
+calls each node's ``grads`` once.
 """
 
 from __future__ import annotations
@@ -47,9 +51,8 @@ class NonFiniteError(FloatingPointError):
     Ops do not scan their outputs: NaN and Inf carry forward through
     arithmetic, so models call ``check_finite`` at sublayer boundaries. Only
     ops that can map a non-finite value to a finite one (``tanh``,
-    ``softmax``, ``kl_div``'s clamp) scan their input, ``attention`` scans its
-    pre-softmax scores under the name ``softmax``, and ``log``, which runs with
-    floating-point warnings silenced, scans its output.
+    ``softmax``, ``kl_div``'s clamp) scan their input, and ``attention`` scans
+    its pre-softmax scores under the name ``softmax``.
     """
 
     def __init__(self, op: str):
@@ -67,11 +70,13 @@ def check_finite(t: "Tensor", scope: str) -> "Tensor":
 class Tensor:
     """A float64 array plus an optional gradient and graph linkage.
 
-    ``_parents`` is a list of ``(tensor, grad_fn)`` pairs where ``grad_fn``
-    maps the output gradient to that parent's gradient contribution.
+    An op's output is a graph node: ``_parents`` lists its input tensors and
+    ``_grads(g)`` returns one gradient per parent, or None for no gradient.
+    A leaf, or an output made while no input is on a graph or under
+    ``no_grad``, has no parents and no ``_grads``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_op", "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grads", "_op", "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -79,6 +84,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = []
+        self._grads = None
         self._op = "leaf"
         self._backward_done = False
 
@@ -131,7 +137,7 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for parent, _ in node._parents:
+            for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
 
@@ -140,13 +146,12 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad and not node._parents:
-                node._accumulate(g)
-            for parent, grad_fn in node._parents:
-                if not (parent.requires_grad or parent._parents):
-                    continue
-                pg = grad_fn(g)
-                if pg is None:
+            if not node._parents:
+                if node.requires_grad:
+                    node._accumulate(g)
+                continue
+            for parent, pg in zip(node._parents, node._grads(g)):
+                if pg is None or not (parent.requires_grad or parent._parents):
                     continue
                 key = id(parent)
                 if key in grads:
@@ -159,40 +164,27 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(op: str, out: np.ndarray, parents) -> Tensor:
-    """Wrap an op result; parents is a list of (Tensor, grad_fn)."""
-    t = Tensor.__new__(Tensor)
-    t.data = out
-    t.grad = None
-    t._op = op
-    t._backward_done = False
-    if _grad_enabled and any(p.requires_grad or p._parents for p, _ in parents):
-        t.requires_grad = any(p.requires_grad for p, _ in parents)
-        t._parents = list(parents)
-    else:
-        t.requires_grad = False
-        t._parents = []
-    return t
-
-
 def _records(inputs) -> bool:
     """The rule ``_make`` applies: a node is recorded iff grad is on and some input is on a graph."""
     return _grad_enabled and any(x.requires_grad or x._parents for x in inputs)
 
 
-def _fused(op: str, out: np.ndarray, params: list, grads) -> Tensor:
-    """A node over ``params`` whose ``grads(g)`` returns every parent's
-    gradient at once (None for no gradient); it runs once per output gradient."""
-    if not _records(params):
-        return _make(op, out, [])
-    memo = [None, None]  # (output gradient, every parent's gradient from it)
-
-    def grad(g, i):
-        if memo[0] is not g:
-            memo[:] = g, grads(g)
-        return memo[1][i]
-
-    return _make(op, out, [(x, lambda g, i=i: grad(g, i)) for i, x in enumerate(params)])
+def _make(op: str, out: np.ndarray, parents: list, grads) -> Tensor:
+    """Wrap an op result as a graph node over ``parents``; ``grads(g)`` returns
+    one gradient per parent. An unrecorded node keeps neither, so whatever
+    ``grads`` holds is freed."""
+    t = Tensor.__new__(Tensor)
+    t.data = out
+    t.grad = None
+    t._op = op
+    t._backward_done = False
+    if _records(parents):
+        t.requires_grad = any(p.requires_grad for p in parents)
+        t._parents, t._grads = parents, grads
+    else:
+        t.requires_grad = False
+        t._parents, t._grads = [], None
+    return t
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -217,10 +209,8 @@ def add(a, b) -> Tensor:
         out = a.data + b.data
     except ValueError:
         raise ShapeError("add", a.shape, b.shape) from None
-    return _make("add", out, [
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(g, b.data.shape)),
-    ])
+    return _make("add", out, [a, b],
+                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
@@ -229,10 +219,8 @@ def mul(a, b) -> Tensor:
         out = a.data * b.data
     except ValueError:
         raise ShapeError("mul", a.shape, b.shape) from None
-    return _make("mul", out, [
-        (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
-    ])
+    return _make("mul", out, [a, b], lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                                                _unbroadcast(g * a.data, b.data.shape)))
 
 
 def matmul(a, b) -> Tensor:
@@ -244,29 +232,20 @@ def matmul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError("matmul", a.shape, b.shape) from None
 
-    def grad_a(g):
-        return _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-
-    def grad_b(g):
+    def grads(g):
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
         if b.ndim == 2:  # a shared weight: one 2-D GEMM over every leading row
             k, n = b.data.shape
-            return a.data.reshape(-1, k).T @ g.reshape(-1, n)
-        return _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+            return ga, a.data.reshape(-1, k).T @ g.reshape(-1, n)
+        return ga, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
 
-    return _make("matmul", out, [(a, grad_a), (b, grad_b)])
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log(a.data)
-    return check_finite(_make("log", out, [(a, lambda g: g / a.data)]), "log")
+    return _make("matmul", out, [a, b], grads)
 
 
 def tanh(a) -> Tensor:
     a = check_finite(as_tensor(a), "tanh")
     out = np.tanh(a.data)
-    return _make("tanh", out, [(a, lambda g: g * (1.0 - out * out))])
+    return _make("tanh", out, [a], lambda g: (g * (1.0 - out * out),))
 
 
 def _gelu_tanh(x: np.ndarray, keep_t: bool) -> tuple[np.ndarray, np.ndarray | None]:
@@ -361,7 +340,7 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None) -> Tensor:
             pgs[-1] = (gs * unscaled).sum(axis=1)[inv].reshape(route.shape)
         return pgs
 
-    return _fused("moe_ffn", out, params, grads)
+    return _make("moe_ffn", out, params, grads)
 
 
 # -- reductions and reshaping ----------------------------------------------
@@ -371,7 +350,7 @@ def tsum(a) -> Tensor:
     """Sum of every element, as a scalar."""
     a = as_tensor(a)
     out = np.asarray(a.data.sum(), dtype=np.float64)
-    return _make("sum", out, [(a, lambda g: np.broadcast_to(g, a.data.shape).copy())])
+    return _make("sum", out, [a], lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
 
 
 def reshape(a, shape) -> Tensor:
@@ -380,7 +359,7 @@ def reshape(a, shape) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError:
         raise ShapeError("reshape", a.shape, shape) from None
-    return _make("reshape", out, [(a, lambda g: g.reshape(a.data.shape))])
+    return _make("reshape", out, [a], lambda g: (g.reshape(a.data.shape),))
 
 
 def take(a, idx, axis: int = 0) -> Tensor:
@@ -389,12 +368,12 @@ def take(a, idx, axis: int = 0) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     out = np.take(a.data, idx, axis=axis)
 
-    def grad(g):
+    def grads(g):
         ga = np.zeros_like(a.data)
         np.add.at(ga, (slice(None),) * axis + (idx,), g)
-        return ga
+        return (ga,)
 
-    return _make("take", out, [(a, grad)])
+    return _make("take", out, [a], grads)
 
 
 # -- fused neural-net ops ---------------------------------------------------
@@ -419,7 +398,7 @@ def softmax(a) -> Tensor:
     """Softmax over the last axis."""
     a = as_tensor(a)
     out = _softmax(a.data)
-    return _make("softmax", out, [(a, lambda g: _softmax_grad(out, g))])
+    return _make("softmax", out, [a], lambda g: (_softmax_grad(out, g),))
 
 
 def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, bias: np.ndarray, heads: int,
@@ -479,7 +458,7 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, bias: np.ndarray, heads: int,
                 + [part[..., i * d:(i + 1) * d] for i in range(3) for part in (gw, gb)]
                 + [ctx.T @ gy, gy.sum(axis=0)])
 
-    return _fused("attention", y.reshape(x.shape), params, grads)
+    return _make("attention", y.reshape(x.shape), params, grads)
 
 
 def layernorm(x, gamma, beta, residual=None) -> Tensor:
@@ -509,7 +488,7 @@ def layernorm(x, gamma, beta, residual=None) -> Tensor:
         return [_unbroadcast(gs, x.data.shape), (g * xhat).reshape(-1, d).sum(axis=0),
                 g.reshape(-1, d).sum(axis=0)] + [_unbroadcast(gs, r.data.shape) for r in params[3:]]
 
-    return _fused("layernorm", out, params, grads)
+    return _make("layernorm", out, params, grads)
 
 
 def _dropout_keep(shape: tuple, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -522,7 +501,8 @@ def dropout(a, p: float, rng: np.random.Generator | None) -> Tensor:
     a = as_tensor(a)
     if p <= 0.0 or rng is None:
         return a
-    return mul(a, Tensor(_dropout_keep(a.shape, p, rng)))
+    keep = _dropout_keep(a.shape, p, rng)
+    return _make("dropout", a.data * keep, [a], lambda g: (g * keep,))
 
 
 def mse(pred, target, mask=None) -> Tensor:
@@ -541,9 +521,9 @@ def mse(pred, target, mask=None) -> Tensor:
 
     def grads(g):
         gp = g * 2.0 * w * diff / count
-        return [gp, -gp]
+        return gp, -gp
 
-    return _fused("mse", out, [pred, target], grads)
+    return _make("mse", out, [pred, target], grads)
 
 
 def kl_div(p, q) -> Tensor:
@@ -559,10 +539,10 @@ def kl_div(p, q) -> Tensor:
 
     def grads(g):  # the clamps pass a gradient only inside [1e-12, 1]
         g = g * (1.0 / rows)
-        return [g * (log_ratio + 1.0) * ((p.data >= 1e-12) & (p.data <= 1.0)),
-                -g * pc / qc * ((q.data >= 1e-12) & (q.data <= 1.0))]
+        return (g * (log_ratio + 1.0) * ((p.data >= 1e-12) & (p.data <= 1.0)),
+                -g * pc / qc * ((q.data >= 1e-12) & (q.data <= 1.0)))
 
-    return _fused("kl_div", out, [p, q], grads)
+    return _make("kl_div", out, [p, q], grads)
 
 
 def cross_entropy_logits(logits, labels) -> Tensor:
@@ -579,12 +559,12 @@ def cross_entropy_logits(logits, labels) -> Tensor:
     out = np.asarray(-logp[np.arange(n), labels].mean())
     probs = np.exp(logp)
 
-    def grad(g):
+    def grads(g):
         gg = probs.copy()
         gg[np.arange(n), labels] -= 1.0
-        return g * gg / n
+        return (g * gg / n,)
 
-    return _make("cross_entropy", out, [(logits, grad)])
+    return _make("cross_entropy", out, [logits], grads)
 
 
 def masked_mean_rows(x, mask) -> Tensor:
@@ -598,7 +578,7 @@ def masked_mean_rows(x, mask) -> Tensor:
         raise ShapeError("masked_mean_rows", m.shape)
     w = m[:, :, None] / counts[:, :, None]
     out = (x.data * w).sum(axis=1)
-    return _make("masked_mean_rows", out, [(x, lambda g: g[:, None, :] * w)])
+    return _make("masked_mean_rows", out, [x], lambda g: (g[:, None, :] * w,))
 
 
 # -- gradient checking ------------------------------------------------------

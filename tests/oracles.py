@@ -19,7 +19,7 @@ def scatter_rows(values, idx, num_rows: int) -> T.Tensor:
     idx = np.asarray(idx, dtype=np.int64)
     out = np.zeros((num_rows,) + values.data.shape[1:], dtype=np.float64)
     np.add.at(out, idx, values.data)
-    return T._make("scatter", out, [(values, lambda g: g[idx])])
+    return T._make("scatter", out, [values], lambda g: (g[idx],))
 
 
 def gelu(a) -> T.Tensor:
@@ -27,14 +27,14 @@ def gelu(a) -> T.Tensor:
     a = T.as_tensor(a)
     x = a.data
     out, t = T._gelu_tanh(x, keep_t=True)
-    return T._make("gelu", out, [(a, lambda g: g * T._gelu_grad(x, t))])
+    return T._make("gelu", out, [a], lambda g: (g * T._gelu_grad(x, t),))
 
 
 def transpose(a, axes) -> T.Tensor:
     a = T.as_tensor(a)
     out = a.data.transpose(axes)
     inv = np.argsort(axes)
-    return T._make("transpose", out, [(a, lambda g: g.transpose(inv))])
+    return T._make("transpose", out, [a], lambda g: (g.transpose(inv),))
 
 
 def composed_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, mask, heads, dropout_p, rng) -> T.Tensor:

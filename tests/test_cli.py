@@ -124,6 +124,8 @@ class TestErrors:
          []),
         ("IsADirectoryError", "adir", {"data": {"train_tsv": "adir", "eval_tsv": "good.tsv"}}, []),
         ("FileExistsError", "afile", {"out_dir": "afile"}, []),
+        ("ConfigError", "--repeats", {}, ["--repeats", "0"]),
+        ("ConfigError", "--repeats", {}, ["--repeats", "-2"]),
     ], ids=["zero-experts", "zero-experts-flag", "negative-shared", "negative-shared-flag",
             "model-unknown-key", "heads-not-dividing-embed-dim", "teacher-unknown-key",
             "unknown-layer-set", "zero-batch-size", "string-seed", "zero-width-experts",
@@ -131,7 +133,8 @@ class TestErrors:
             "synthetic-unknown-key", "tsv-without-eval-tsv", "tsv-path-not-a-string",
             "data-unknown-key", "string-min-freq", "string-has-header",
             "model-sets-vocab-size", "model-sets-num-labels", "model-sets-moe",
-            "tsv-not-utf8", "tsv-is-a-directory", "out-dir-is-a-file"])
+            "tsv-not-utf8", "tsv-is-a-directory", "out-dir-is-a-file", "zero-repeats",
+            "negative-repeats"])
     def test_bad_run_config_rejected_before_any_stage(self, tmp_path, capsys, monkeypatch,
                                                       error, field, overrides, flags):
         # the data files that rows name, relative to the working directory

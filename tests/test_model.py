@@ -109,6 +109,13 @@ class TestEncoderForward:
         with pytest.raises(ValueError):
             model.forward(ids, np.ones((1, 3)))
 
+    @pytest.mark.parametrize("token", [-1, 20])
+    def test_token_outside_vocabulary_raises(self, token):
+        # np.take would wrap -1 to the last row and read a real embedding
+        model = EncoderModel(small_cfg(vocab_size=20), seed=0)
+        with pytest.raises(ValueError, match="token id outside the vocabulary"):
+            model.forward(np.array([[2, token, 3]]), np.ones((1, 3)))
+
 
 class TestParamCounting:
     def test_dense_effective_equals_enumeration(self):
@@ -215,11 +222,11 @@ class TestConfig:
 _plain_make = T._make
 
 
-def _scanning_make(op, out, parents):
+def _scanning_make(op, out, parents, grads):
     """The rule the model's boundary checks replace: scan every op output."""
     if not np.all(np.isfinite(out)):
         raise NonFiniteError(op)
-    return _plain_make(op, out, parents)
+    return _plain_make(op, out, parents, grads)
 
 
 def _tiny_models():

@@ -56,7 +56,7 @@ class TestForwardOps:
 
     def test_nonfinite_raises(self):
         with pytest.raises(NonFiniteError):
-            T.log(Tensor([[0.0, -1.0]]))
+            T.tanh(Tensor([[0.0, np.nan]]))
 
     def test_cross_entropy_matches_manual(self):
         logits = rand((3, 4), 5)
@@ -90,6 +90,43 @@ class TestBackward:
         loss.backward()
         with pytest.raises(RuntimeError, match="twice"):
             loss.backward()
+
+    def test_each_node_grads_runs_once_per_backward(self):
+        # h feeds both inputs of the layernorm: each node's grads still runs once
+        x = Tensor(rand((3, 4), 0), requires_grad=True)
+        calls = {}
+
+        def counted(t):
+            inner = t._grads
+
+            def grads(g):
+                calls[t._op] = calls.get(t._op, 0) + 1
+                return inner(g)
+
+            t._grads = grads
+            return t
+
+        h = counted(T.tanh(x))
+        out = counted(T.layernorm(h, Tensor(np.ones(4)), Tensor(np.zeros(4)), residual=h))
+        T.tsum(T.mul(out, Tensor(rand((3, 4), 1)))).backward()
+        assert calls == {"tanh": 1, "layernorm": 1}
+
+    def test_dropout_node_matches_mul_by_its_mask(self):
+        # the composed form it replaced: a mul against the mask as a constant
+        x = rand((3, 4), 2)
+        results = []
+        for node in (True, False):
+            a = Tensor(x, requires_grad=True)
+            rng = np.random.default_rng(3)
+            if node:
+                out = T.dropout(a, 0.4, rng)
+                assert len(out._parents) == 1
+            else:
+                out = T.mul(a, Tensor(T._dropout_keep(a.shape, 0.4, rng)))
+            T.tsum(T.mul(out, Tensor(rand((3, 4), 4)))).backward()
+            results.append((out.data, a.grad))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
 
     def test_chain_matmul_gelu_mse_matches_finite_diff(self):
         a = Tensor(rand((3, 3), 10), requires_grad=True)
@@ -176,7 +213,7 @@ class TestFusedFFN:
         params = ffn_params((2, 3), 0)
         with T.no_grad():
             out = one_expert_ffn(*params)
-        assert out._parents == [] and not out.requires_grad
+        assert out._parents == [] and out._grads is None and not out.requires_grad
 
     def test_mismatched_weights_raise(self):
         a, w1, b1, _, b2 = ffn_params((2,), 0)
@@ -269,7 +306,7 @@ class TestMoeFFN:
     def test_no_grad_records_no_parents(self):
         with T.no_grad():
             out = T.moe_ffn(Tensor(rand((2, 5, 3), 0)), self.ROUTE, *moe_ffn_params(4, 0))
-        assert out._parents == [] and not out.requires_grad
+        assert out._parents == [] and out._grads is None and not out.requires_grad
 
     def test_bad_route_or_weights_raise(self):
         a = Tensor(rand((2, 5, 3), 0))
@@ -361,7 +398,7 @@ class TestAttention:
                 tracemalloc.stop()
 
         out, kept = retained(False)
-        assert out._parents == [] and not out.requires_grad
+        assert out._parents == [] and out._grads is None and not out.requires_grad
         assert kept < probs_bytes
         out, kept = retained(True)
         assert len(out._parents) == 9 and kept > probs_bytes
