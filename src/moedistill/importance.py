@@ -5,9 +5,19 @@ accumulated over a dataset is
 
     I_j = sum over examples |w1_j · grad(w1_j) + w2_j · grad(w2_j)|
 
-with the task cross-entropy as the loss. Gradients are per-example (the
-absolute value sits inside the dataset sum), so accumulation runs with
-batch size 1 and dropout off.
+with the task cross-entropy as the loss and dropout off: the first-order
+Taylor estimate of the loss change from removing the neuron (Molchanov et
+al. 2019). The absolute value sits inside the dataset sum, so each example
+needs its own gradient. Since a_t · w1_j = z_tj - b1_j, one example's term is
+
+    sum over its tokens t of (z_tj - b1_j) · delta_tj + h_tj · u_tj
+
+where z is the pre-GELU activation, h = GELU(z), u = dL/dh and delta = dL/dz.
+Examples do not interact in the encoder and padded rows get exactly zero
+gradient, so one backward pass of the summed cross-entropy over a padded
+batch gives every example's own z, h, u and delta (the per-example gradient
+trick, Goodfellow 2015). ``tensor.moe_ffn`` hands those arrays to a sink set
+on each dense layer's ``ExpertSet`` for the duration of the pass.
 """
 
 from __future__ import annotations
@@ -18,8 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import Dataset, pad_batch
+from .data import Dataset, iter_batches
 from .model import EncoderModel, ModelConfig
+
+
+BATCH_SIZE = 32  # padded examples per pass, as in ``distill.evaluate_accuracy``
 
 
 class ImportanceError(ValueError):
@@ -69,28 +82,39 @@ def accumulate_importance(teacher: EncoderModel, dataset: Dataset) -> Importance
         raise ImportanceError("empty dataset")
     if teacher.is_moe:
         raise ImportanceError("model already adapted; importance needs dense FFNs")
-    d_h = teacher.cfg.ffn_hidden
-    scores = {l: np.zeros(d_h) for l in range(teacher.cfg.num_layers)}
-
-    for ex in dataset.examples:
-        ids, mask, labels = pad_batch([ex])
+    ffns = [layer.ffn for layer in teacher.layers]
+    scores = {l: np.zeros(teacher.cfg.ffn_hidden) for l in range(len(ffns))}
+    try:
+        for ids, mask, labels in iter_batches(dataset, BATCH_SIZE):
+            for l, ffn in enumerate(ffns):
+                ffn.sink = _example_scores_into(scores[l], ffn.b1[0].data, len(labels))
+            logits, _ = teacher.forward(ids, mask, training=False)
+            # the summed loss: each example's gradient is its own, unscaled
+            T.mul(T.cross_entropy_logits(logits, labels), float(len(labels))).backward()
+            del logits, _  # frees this batch's graph before the next forward builds one
+    finally:
+        for ffn in ffns:
+            ffn.sink = None
         teacher.zero_grads()
-        logits, _ = teacher.forward(ids, mask, training=False)
-        loss = T.cross_entropy_logits(logits, labels)
-        loss.backward()
-        for l, layer in enumerate(teacher.layers):
-            w1, w2 = layer.ffn.w1[0], layer.ffn.w2[0]
-            term = (w1.data * w1.grad).sum(axis=0) + (w2.data * w2.grad).sum(axis=1)
-            scores[l] += np.abs(term)
-    teacher.zero_grads()
     return ImportanceTable(scores, len(dataset))
+
+
+def _example_scores_into(total: np.ndarray, b1: np.ndarray, batch: int):
+    """A ``moe_ffn`` sink adding each example's |term_j| of a padded batch to ``total``."""
+    def sink(z, h, u, delta):
+        term = (z - b1) * delta
+        term += h * u
+        per_example = term.reshape(batch, -1, term.shape[-1]).sum(axis=1)
+        np.add(total, np.abs(per_example).sum(axis=0), out=total)
+    return sink
 
 
 def importance_oracle(teacher: EncoderModel, dataset: Dataset, layer: int, j: int) -> float:
     """Exact loss change from removing neuron j of a layer.
 
     Zeroes column j of W1, entry j of b1 and row j of W2, re-evaluates the
-    summed dataset loss, restores the weights, and returns |delta|.
+    summed dataset loss over padded batches, restores the weights, and
+    returns |delta|.
     """
     if teacher.layers[layer].routing is not None:
         raise ImportanceError("model already adapted")
@@ -102,10 +126,9 @@ def importance_oracle(teacher: EncoderModel, dataset: Dataset, layer: int, j: in
     def total_loss() -> float:
         total = 0.0
         with T.no_grad():
-            for ex in dataset.examples:
-                ids, mask, labels = pad_batch([ex])
+            for ids, mask, labels in iter_batches(dataset, BATCH_SIZE):
                 logits, _ = teacher.forward(ids, mask, training=False)
-                total += T.cross_entropy_logits(logits, labels).item()
+                total += T.cross_entropy_logits(logits, labels).item() * len(labels)
         return total
 
     base = total_loss()

@@ -17,6 +17,7 @@ every row); no token is dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,6 +49,8 @@ class ExpertSet:
     w2: list[Tensor]  # each expert_dim × d
     b2: list[Tensor]  # each d; independent trainable copies of the original
     provenance: list[np.ndarray] | None  # per expert: original column index per slot
+    # a dense layer's ``tensor.moe_ffn`` sink: sees z, h, dL/dh, dL/dz in backward
+    sink: Callable | None = None
 
     @property
     def num_experts(self) -> int:
@@ -182,7 +185,8 @@ def moe_forward(attn_out: Tensor, experts: ExpertSet, routing: RoutingTable | No
     """
     weights = (experts.w1, experts.b1, experts.w2, experts.b2)
     if routing is None:
-        return moe_ffn(attn_out, np.zeros(attn_out.shape[:-1], dtype=np.int64), *weights)
+        return moe_ffn(attn_out, np.zeros(attn_out.shape[:-1], dtype=np.int64), *weights,
+                       sink=experts.sink)
     if routing.strategy != GATE:
         if token_ids.max(initial=0) >= len(routing.table):
             raise MoEError("token id outside the routing table")

@@ -189,6 +189,8 @@ def bench_inference(model: EncoderModel, dataset: Dataset, repeats: int = 5) -> 
     Timing is the median over ``repeats`` passes after two warm-up passes;
     every example is padded to the model's ``max_seq_len``.
     """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     seq_len = model.cfg.max_seq_len
     batches = []
     for ex in dataset.examples:

@@ -274,7 +274,7 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + t + x * (1.0 - t * t) * dinner)
 
 
-def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None) -> Tensor:
+def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None) -> Tensor:
     """``y[r] = scale[r] · FFN_{route[r]}(a[r])`` over the rows of ``a`` (..., d), as one graph node.
 
     ``FFN_e(x) = GELU(x·W1_e + b1_e)·W2_e + b2_e`` with ``w1s[e]`` (d × k),
@@ -285,6 +285,11 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None) -> Tensor:
     on its contiguous slice, GELU runs once over all of them, and one inverse
     permutation restores row order. No row is dropped. An expert that no row
     reaches gets no gradient (its grad stays None).
+
+    ``sink``, if given, is called once per backward as ``sink(z, h, u, delta)``
+    with each row's pre-GELU ``z``, ``h = GELU(z)``, ``u = dL/dh`` and
+    ``delta = dL/dz`` (all rows × k, rows in expert order, which is input order
+    for one expert); the arrays are only valid during the call.
     """
     a, scale = as_tensor(a), (None if scale is None else as_tensor(scale))
     experts = list(zip(w1s, b1s, w2s, b2s))
@@ -328,7 +333,10 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None) -> Tensor:
         dz = np.empty_like(z)
         for e, lo, hi in spans:
             np.matmul(gy[lo:hi], w2s[e].data.T, out=dz[lo:hi])
-        dz *= _gelu_grad(z, t)
+        gelu_grad = _gelu_grad(z, t)
+        if sink is not None:
+            sink(z, h, dz, dz * gelu_grad)
+        dz *= gelu_grad
         gx = np.empty_like(xs)
         pgs = [None] * len(params)  # an idle expert keeps None, so the optimizer skips it
         for e, lo, hi in spans:

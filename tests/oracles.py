@@ -128,6 +128,24 @@ def moe_forward_per_expert(attn_out, experts, routing, token_ids, mask) -> T.Ten
     return T.reshape(total, (batch, seq, d))
 
 
+def importance_per_example(teacher, dataset) -> dict[int, np.ndarray]:
+    """The batch-1 loop that ``importance.accumulate_importance`` ran before it
+    batched: one forward and backward pass per example, then
+    ``|w1_j · grad(w1_j) + w2_j · grad(w2_j)|`` from the weight gradients."""
+    scores = {l: np.zeros(teacher.cfg.ffn_hidden) for l in range(teacher.cfg.num_layers)}
+    for ex in dataset.examples:
+        ids, mask, labels = D.pad_batch([ex])
+        teacher.zero_grads()
+        logits, _ = teacher.forward(ids, mask, training=False)
+        T.cross_entropy_logits(logits, labels).backward()
+        for l, layer in enumerate(teacher.layers):
+            w1, w2 = layer.ffn.w1[0], layer.ffn.w2[0]
+            term = (w1.data * w1.grad).sum(axis=0) + (w2.data * w2.grad).sum(axis=1)
+            scores[l] += np.abs(term)
+    teacher.zero_grads()
+    return scores
+
+
 def bayes_accuracy(task: D.SyntheticTask, split: str = "eval") -> float:
     """Accuracy of the majority-signal-token classifier on a split."""
     owner = {}

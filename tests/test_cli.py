@@ -11,8 +11,9 @@ import pytest
 from moedistill import cli
 from moedistill import tensor as T
 from moedistill.checkpoint import load_checkpoint
-from moedistill.data import pad_batch
-from moedistill.pipeline import RunConfig, prepare_data
+from moedistill.data import Dataset, Example, pad_batch
+from moedistill.model import EncoderModel, ModelConfig
+from moedistill.pipeline import RunConfig, bench_inference, prepare_data
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -161,6 +162,17 @@ class TestErrors:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_bench_inference_rejects_repeats_below_one_before_any_pass(self, repeats,
+                                                                       monkeypatch):
+        model = EncoderModel(ModelConfig(vocab_size=10, embed_dim=4, ffn_hidden=8, num_layers=1,
+                                         num_heads=2, max_seq_len=4))
+        passes = []
+        monkeypatch.setattr(model, "forward", lambda *args, **kwargs: passes.append(args))
+        with pytest.raises(ValueError, match=r"^repeats must be >= 1$"):
+            bench_inference(model, Dataset([Example(np.array([2, 5]), 0)], 2), repeats=repeats)
+        assert passes == []
 
     def test_adapt_without_importance_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
