@@ -208,6 +208,8 @@ class EncoderModel:
         token_ids = np.asarray(token_ids, dtype=np.int64)
         mask = np.asarray(mask, dtype=np.float64)
         batch, seq = token_ids.shape
+        if mask.shape != token_ids.shape:  # a broadcast mask would silently mask other rows
+            raise ShapeError("encoder_forward", token_ids.shape, mask.shape)
         if seq > self.cfg.max_seq_len:
             raise ShapeError("encoder_forward", (batch, seq), (self.cfg.max_seq_len,))
         if token_ids.min(initial=0) < 0 or token_ids.max(initial=0) >= self.cfg.vocab_size:

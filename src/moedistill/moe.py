@@ -185,8 +185,7 @@ def moe_forward(attn_out: Tensor, experts: ExpertSet, routing: RoutingTable | No
     """
     weights = (experts.w1, experts.b1, experts.w2, experts.b2)
     if routing is None:
-        return moe_ffn(attn_out, np.zeros(attn_out.shape[:-1], dtype=np.int64), *weights,
-                       sink=experts.sink)
+        return moe_ffn(attn_out, None, *weights, sink=experts.sink)
     if routing.strategy != GATE:
         if token_ids.max(initial=0) >= len(routing.table):
             raise MoEError("token id outside the routing table")

@@ -20,6 +20,9 @@ import numpy as np
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_C = 0.044715
+# elements (512 KiB of float64) per block of the FFN's elementwise passes: a
+# block and its temporaries stay in a core's L2, where a whole 64 MB buffer does not
+_BLOCK = 1 << 16
 
 _grad_enabled = True
 
@@ -248,30 +251,67 @@ def tanh(a) -> Tensor:
     return _make("tanh", out, [a], lambda g: (g * (1.0 - out * out),))
 
 
+def _blocks(*arrays) -> list:
+    """The arrays themselves if they fit in one block of ``_BLOCK`` elements,
+    else their flat forms cut into matching blocks. Flat forms of C-contiguous
+    arrays are views, so a block's writes land in its array."""
+    if arrays[0].size <= _BLOCK:
+        return [arrays]
+    flats = [a.reshape(-1) for a in arrays]
+    return [[f[lo:lo + _BLOCK] for f in flats] for lo in range(0, flats[0].size, _BLOCK)]
+
+
 def _gelu_tanh(x: np.ndarray, keep_t: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """GELU, tanh approximation: 0.5 x (1 + tanh(√(2/π)(x + 0.044715 x³))).
 
     Returns ``(gelu(x), t)``, where ``t`` is the tanh term that ``_gelu_grad``
-    needs. Without ``keep_t``, ``t`` is None and the output is written over
-    its buffer. The cube is ``x*x*x``: numpy evaluates ``x ** 3`` as a general
-    ``pow``, which is several times slower.
+    needs, or None without ``keep_t``. ``x`` may have any shape.
     """
-    u = x * x
-    u *= x
-    u *= _GELU_C
-    u += x
-    u *= _SQRT_2_OVER_PI
-    np.tanh(u, out=u)
-    h = u + 1.0 if keep_t else np.add(u, 1.0, out=u)
-    h *= x
-    h *= 0.5
-    return h, (u if keep_t else None)
+    t = np.empty(x.shape) if keep_t else None
+    return _gelu_into(x, np.empty(x.shape), t), t
+
+
+def _gelu_into(x: np.ndarray, h: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """Write GELU(x) into ``h`` and its tanh term into ``t``, one block at a time, and return ``h``.
+
+    ``h`` and ``t`` are C-contiguous. Without ``t`` the tanh term goes over
+    ``h``, or over a scratch block when ``h`` is ``x``; so GELU in place makes
+    no full-size temporary. The cube is ``x*x*x``: numpy evaluates ``x ** 3``
+    as a general ``pow``, which is several times slower.
+    """
+    for xb, hb, u in _blocks(x, h, h if t is None else t):
+        if h is x:
+            u = np.empty(xb.shape)
+        np.multiply(xb, xb, out=u)
+        u *= xb
+        u *= _GELU_C
+        u += xb
+        u *= _SQRT_2_OVER_PI
+        np.tanh(u, out=u)
+        v = u if t is None else hb  # 1 + t goes over t unless t is kept
+        np.add(u, 1.0, out=v)
+        np.multiply(v, xb, out=hb)
+        hb *= 0.5
+    return h
 
 
 def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d gelu / dx from the input and the tanh term of ``_gelu_tanh``."""
-    dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * _GELU_C * x * x)
-    return 0.5 * (1.0 + t + x * (1.0 - t * t) * dinner)
+    """d gelu / dx from the input and the tanh term of ``_gelu_tanh``, one block at a time:
+    ``0.5 ((1 + t) + x (1 - t²) dinner)`` with ``dinner = √(2/π) (1 + 3c x x)``."""
+    g = np.empty(x.shape)
+    for xb, tb, gb in _blocks(x, t, g):
+        np.multiply(xb, 3.0 * _GELU_C, out=gb)
+        gb *= xb
+        gb += 1.0
+        gb *= _SQRT_2_OVER_PI  # dinner
+        s = np.multiply(tb, tb)
+        np.subtract(1.0, s, out=s)
+        s *= xb
+        s *= gb
+        np.add(tb, 1.0, out=gb)
+        gb += s
+        gb *= 0.5
+    return g
 
 
 def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None) -> Tensor:
@@ -279,12 +319,15 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None) -> Tensor:
 
     ``FFN_e(x) = GELU(x·W1_e + b1_e)·W2_e + b2_e`` with ``w1s[e]`` (d × k),
     ..., ``b2s[e]``; every expert has width k. ``route`` (shape ``a.shape[:-1]``,
-    like ``scale``) picks each row's expert; a dense FFN is one expert and a
-    zero route. One stable argsort groups the rows by expert (skipped, with
-    both gathers, when one expert takes every row); each expert runs its GEMMs
-    on its contiguous slice, GELU runs once over all of them, and one inverse
-    permutation restores row order. No row is dropped. An expert that no row
-    reaches gets no gradient (its grad stays None).
+    like ``scale``) picks each row's expert; None puts every row on expert 0,
+    as a dense FFN does, with no route array to count. One stable argsort
+    groups the rows by expert (skipped, with both gathers, when one expert
+    takes every row); each expert runs its GEMMs on its contiguous slice, and
+    one inverse permutation restores row order. GELU and its gradient walk the
+    (rows × k) hidden buffer in blocks of ``_BLOCK`` elements that stay in
+    cache, and make no full-size temporary: without a graph, GELU overwrites
+    its input. No row is dropped. An expert that no row reaches gets no
+    gradient (its grad stays None).
 
     ``sink``, if given, is called once per backward as ``sink(z, h, u, delta)``
     with each row's pre-GELU ``z``, ``h = GELU(z)``, ``u = dL/dh`` and
@@ -293,19 +336,25 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None) -> Tensor:
     """
     a, scale = as_tensor(a), (None if scale is None else as_tensor(scale))
     experts = list(zip(w1s, b1s, w2s, b2s))
-    route = np.asarray(route)
+    lead = a.data.shape[:-1]
+    route = None if route is None else np.asarray(route)
     d, k, d_out = a.data.shape[-1], w2s[0].data.shape[0], w2s[0].data.shape[-1]
     want = ((d, k), (k,), (k, d_out), (d_out,))
-    if (route.shape != a.data.shape[:-1] or (scale is not None and scale.shape != route.shape)
+    if ((route is not None and route.shape != lead) or (scale is not None and scale.shape != lead)
             or any((w1.data.shape, b1.data.shape, w2.data.shape, b2.data.shape) != want
                    for w1, b1, w2, b2 in experts)):
-        raise ShapeError("moe_ffn", a.shape, route.shape, *(x.shape for ws in experts for x in ws))
-    flat = route.reshape(-1)
-    counts = np.bincount(flat, minlength=len(experts)).tolist()  # rejects a negative route
-    if len(counts) > len(experts):
-        raise ValueError(f"moe_ffn: route outside [0, {len(experts)})")
-    ends = itertools.accumulate(counts)
-    spans = [(e, end - c, end) for e, (c, end) in enumerate(zip(counts, ends)) if c]
+        raise ShapeError("moe_ffn", a.shape, lead if route is None else route.shape,
+                         *(x.shape for ws in experts for x in ws))
+    n = math.prod(lead)
+    if route is None:
+        spans = [(0, 0, n)]
+    else:
+        flat = route.reshape(-1)
+        counts = np.bincount(flat, minlength=len(experts)).tolist()  # rejects a negative route
+        if len(counts) > len(experts):
+            raise ValueError(f"moe_ffn: route outside [0, {len(experts)})")
+        ends = itertools.accumulate(counts)
+        spans = [(e, end - c, end) for e, (c, end) in enumerate(zip(counts, ends)) if c]
     if len(spans) > 1:
         order = np.argsort(flat, kind="stable")
         inv = np.argsort(order)  # row r of the input sits at inv[r] in expert order
@@ -313,19 +362,19 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None) -> Tensor:
         order = inv = slice(None)
     xs = a.data.reshape(-1, d)[order]
     params = [a] + [x for ws in experts for x in ws] + ([] if scale is None else [scale])
-    z = np.empty((flat.size, k))
+    z = np.empty((n, k))
     for e, lo, hi in spans:
         np.matmul(xs[lo:hi], w1s[e].data, out=z[lo:hi])
         z[lo:hi] += b1s[e].data
-    h, t = _gelu_tanh(z, keep_t=_records(params))
-    ys = np.empty((flat.size, d_out))
+    h, t = _gelu_tanh(z, keep_t=True) if _records(params) else (_gelu_into(z, z), None)
+    ys = np.empty((n, d_out))
     for e, lo, hi in spans:
         np.matmul(h[lo:hi], w2s[e].data, out=ys[lo:hi])
         ys[lo:hi] += b2s[e].data
     if scale is not None:
         s = scale.data.reshape(-1)[order, None]
         unscaled, ys = ys, ys * s
-    out = ys[inv].reshape(route.shape + (d_out,))
+    out = ys[inv].reshape(lead + (d_out,))
 
     def grads(g):
         gs = g.reshape(-1, d_out)[order]
@@ -333,19 +382,20 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None) -> Tensor:
         dz = np.empty_like(z)
         for e, lo, hi in spans:
             np.matmul(gy[lo:hi], w2s[e].data.T, out=dz[lo:hi])
-        gelu_grad = _gelu_grad(z, t)
+        delta = dz if sink is None else np.empty_like(dz)  # the sink sees dz and delta
+        for zb, tb, ub, db in _blocks(z, t, dz, delta):
+            np.multiply(ub, _gelu_grad(zb, tb), out=db)
         if sink is not None:
-            sink(z, h, dz, dz * gelu_grad)
-        dz *= gelu_grad
+            sink(z, h, dz, delta)
         gx = np.empty_like(xs)
         pgs = [None] * len(params)  # an idle expert keeps None, so the optimizer skips it
         for e, lo, hi in spans:
-            np.matmul(dz[lo:hi], w1s[e].data.T, out=gx[lo:hi])
-            pgs[1 + 4 * e:5 + 4 * e] = [xs[lo:hi].T @ dz[lo:hi], dz[lo:hi].sum(axis=0),
+            np.matmul(delta[lo:hi], w1s[e].data.T, out=gx[lo:hi])
+            pgs[1 + 4 * e:5 + 4 * e] = [xs[lo:hi].T @ delta[lo:hi], delta[lo:hi].sum(axis=0),
                                         h[lo:hi].T @ gy[lo:hi], gy[lo:hi].sum(axis=0)]
         pgs[0] = gx[inv].reshape(a.shape)
         if scale is not None:
-            pgs[-1] = (gs * unscaled).sum(axis=1)[inv].reshape(route.shape)
+            pgs[-1] = (gs * unscaled).sum(axis=1)[inv].reshape(lead)
         return pgs
 
     return _make("moe_ffn", out, params, grads)

@@ -30,6 +30,28 @@ def gelu(a) -> T.Tensor:
     return T._make("gelu", out, [a], lambda g: (g * T._gelu_grad(x, t),))
 
 
+def gelu_tanh_whole(x: np.ndarray, keep_t: bool):
+    """``tensor._gelu_tanh`` as whole-array passes, with a second full-size
+    buffer; the exactness oracle for its blocked form."""
+    u = x * x
+    u *= x
+    u *= T._GELU_C
+    u += x
+    u *= T._SQRT_2_OVER_PI
+    np.tanh(u, out=u)
+    h = u + 1.0 if keep_t else np.add(u, 1.0, out=u)
+    h *= x
+    h *= 0.5
+    return h, (u if keep_t else None)
+
+
+def gelu_grad_whole(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``tensor._gelu_grad`` as whole-array expressions, with about eight
+    full-size temporaries; the exactness oracle for its blocked form."""
+    dinner = T._SQRT_2_OVER_PI * (1.0 + 3.0 * T._GELU_C * x * x)
+    return 0.5 * (1.0 + t + x * (1.0 - t * t) * dinner)
+
+
 def transpose(a, axes) -> T.Tensor:
     a = T.as_tensor(a)
     out = a.data.transpose(axes)

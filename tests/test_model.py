@@ -82,6 +82,14 @@ class TestEncoderForward:
         with pytest.raises(ShapeError):
             model.forward(ids, np.ones((1, 7)))
 
+    @pytest.mark.parametrize("mask_shape", [(1, 6), (2, 5)])
+    def test_mask_of_another_shape_raises(self, mask_shape):
+        # a (1, 6) mask would broadcast row 0's mask over both rows
+        model = EncoderModel(small_cfg(), seed=0)
+        ids = np.full((2, 6), 5, dtype=np.int64)
+        with pytest.raises(ShapeError, match="encoder_forward"):
+            model.forward(ids, np.ones(mask_shape))
+
     def test_token_permutation_equivariance_without_positions(self):
         cfg = small_cfg(num_layers=2)
         model = EncoderModel(cfg, seed=1)

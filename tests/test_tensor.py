@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from moedistill import tensor as T
 from moedistill.tensor import Tensor, ShapeError, NonFiniteError
-from oracles import composed_attention, composed_ffn, gelu, one_expert_ffn, scatter_rows
+from oracles import (composed_attention, composed_ffn, gelu, gelu_grad_whole, gelu_tanh_whole,
+                     one_expert_ffn, scatter_rows)
 
 
 def rand(shape, seed):
@@ -325,6 +326,131 @@ class TestMoeFFN:
         weights[2][1] = Tensor(np.zeros((6, 4)))
         with pytest.raises(ShapeError, match="moe_ffn"):
             T.moe_ffn(a, self.ROUTE, *weights)
+
+
+def assert_gelu_exact(x):
+    """Both forms of ``_gelu_tanh`` and ``_gelu_grad`` equal the whole-buffer oracles bit for bit."""
+    h_oracle, t_oracle = gelu_tanh_whole(x, keep_t=True)
+    h, t = T._gelu_tanh(x, keep_t=True)
+    assert h.shape == t.shape == x.shape
+    assert np.array_equal(h, h_oracle) and np.array_equal(t, t_oracle)
+    h, t = T._gelu_tanh(x, keep_t=False)
+    assert t is None and np.array_equal(h, h_oracle)
+    assert np.array_equal(T._gelu_grad(x, t_oracle), gelu_grad_whole(x, t_oracle))
+
+
+class TestBlockedGelu:
+    """The blocked GELU passes against the whole-buffer forms they replaced."""
+
+    # row counts, given the rows that fill one block; the last has a ragged tail
+    ROWS = {"one": lambda b: 1, "block-1": lambda b: b - 1, "block": lambda b: b,
+            "block+1": lambda b: b + 1, "3.5 blocks": lambda b: 3 * b + b // 2}
+
+    @pytest.mark.parametrize("k", [16, 64, 512, 2048])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_rows_around_the_block_size(self, k, rows):
+        n = self.ROWS[rows](T._BLOCK // k)
+        assert_gelu_exact(4.0 * rand((n, k), k + n))
+
+    @pytest.mark.parametrize("shape", [(1,), (T._BLOCK - 1,), (T._BLOCK,), (T._BLOCK + 1,),
+                                       (2 * T._BLOCK + 77,), (2, 700, 64), (5, 7, 2048), (3, 4, 5)])
+    def test_one_and_three_dimensional_inputs(self, shape):
+        assert_gelu_exact(4.0 * rand(shape, len(shape)))
+
+    def test_non_contiguous_input(self):
+        assert_gelu_exact(rand((2048, 70), 1).T)
+
+    def test_in_place_gelu_equals_oracle(self):
+        for rows in (3, 300):  # one block, then five
+            x = rand((rows, 1024), rows)
+            z = x.copy()
+            assert T._gelu_into(z, z) is z
+            assert np.array_equal(z, gelu_tanh_whole(x, keep_t=False)[0])
+
+    def test_never_writes_its_input(self):
+        for shape in [(17, 64), (300, 1024)]:
+            x = rand(shape, 0)
+            before = x.copy()
+            T._gelu_tanh(x, keep_t=False)
+            _, t = T._gelu_tanh(x, keep_t=True)
+            T._gelu_grad(x, t)
+            assert np.array_equal(x, before)
+
+
+def whole_buffer_ffn(monkeypatch):
+    """Make ``moe_ffn`` run its GELU and gradient as one whole-buffer pass of the oracles."""
+    def gelu_into(x, h, t=None):
+        h[...] = gelu_tanh_whole(x, keep_t=False)[0]
+        return h
+
+    monkeypatch.setattr(T, "_BLOCK", 1 << 62)
+    monkeypatch.setattr(T, "_gelu_tanh", gelu_tanh_whole)
+    monkeypatch.setattr(T, "_gelu_into", gelu_into)
+    monkeypatch.setattr(T, "_gelu_grad", gelu_grad_whole)
+
+
+class TestMoeFFNBlocks:
+    """``moe_ffn`` on a hidden buffer of several blocks (360 rows of 512) against
+    the whole-buffer path: forward, every gradient and the sink's arrays bit for bit."""
+
+    def run(self, case, no_grad):
+        batch, seq, d, k = 4, 90, 8, 512
+        n = {"dense": 1, "hash": 4, "gate": 4}[case]
+        weights = moe_ffn_params(n, 1, d=d, dh=k, dout=d)
+        a = Tensor(rand((batch, seq, d), 2), requires_grad=True)
+        scale = route = None
+        if case == "hash":  # expert 2 is idle
+            route = np.random.default_rng(3).choice([0, 1, 3], size=(batch, seq))
+        elif case == "gate":
+            route = np.repeat(np.array([0, 3, 3, 1]), seq).reshape(batch, seq)
+            scale = Tensor(rand((batch, seq), 4), requires_grad=True)
+        seen = []
+
+        def sink(*arrays):
+            seen.extend(x.copy() for x in arrays)
+
+        with T.no_grad() if no_grad else contextlib.nullcontext():
+            out = T.moe_ffn(a, route, *weights, scale=scale, sink=sink)
+        if no_grad:
+            return [out.data]
+        T.tsum(T.mul(out, Tensor(rand(out.shape, 5)))).backward()
+        params = [a] + [w for ws in weights for w in ws] + ([] if scale is None else [scale])
+        return [out.data] + [p.grad for p in params] + seen
+
+    @pytest.mark.parametrize("no_grad", [False, True])
+    @pytest.mark.parametrize("case", ["dense", "hash", "gate"])
+    def test_bit_identical_to_whole_buffer_path(self, monkeypatch, case, no_grad):
+        blocked = self.run(case, no_grad)
+        with monkeypatch.context() as m:
+            whole_buffer_ffn(m)
+            whole = self.run(case, no_grad)
+        assert len(blocked) == len(whole)
+        for got, want in zip(blocked, whole):  # an idle expert's gradients are None on both paths
+            assert (got is None and want is None) or np.array_equal(got, want)
+        if case == "hash" and not no_grad:
+            assert whole[4] is None  # w1 of expert 2, after the output, a's and w1s[0..1]'s
+
+    def test_dense_without_route_equals_zero_route(self):
+        weights = moe_ffn_params(1, 1, d=8, dh=512, dout=8)
+        results = []
+        for route in (None, np.zeros((4, 90), dtype=np.int64)):
+            a = Tensor(rand((4, 90, 8), 2), requires_grad=True)
+            out = T.moe_ffn(a, route, *weights)
+            T.tsum(T.mul(out, Tensor(rand(out.shape, 5)))).backward()
+            results.append([out.data, a.grad] + [ws[0].grad for ws in weights])
+            for ws in weights:
+                ws[0].zero_grad()
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_no_grad_never_writes_its_inputs(self):
+        weights = moe_ffn_params(4, 1, d=8, dh=512, dout=8)
+        a = rand((4, 90, 8), 2)
+        before = [a.copy()] + [w.data.copy() for ws in weights for w in ws]
+        with T.no_grad():
+            T.moe_ffn(Tensor(a), np.zeros((4, 90), dtype=np.int64), *weights)
+        after = [a] + [w.data for ws in weights for w in ws]
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
 
 
 # the key mask of ``test_model._tiny_batch``: its second sentence pads two keys
