@@ -157,12 +157,20 @@ def gen_synthetic_task(seed: int, n_examples: int = 1000, n_classes: int = 3,
     """Token-identity classification task learnable to ~100% at desk scale.
 
     Each class owns a disjoint set of signal tokens; a sentence mixes
-    Zipf-distributed background tokens with k >= 2 signal tokens of its
-    class. The Zipf tail makes balanced and random hashing measurably
-    different in load.
+    Zipf-distributed background tokens with 2 <= k <= min(5, signal_per_class)
+    signal tokens of its class. The Zipf tail makes balanced and random hashing
+    measurably different in load.
     """
     if n_classes < 2:
         raise DataError("need at least 2 classes")
+    if signal_per_class < 2:
+        raise DataError(f"signal_per_class={signal_per_class} must be at least 2")
+    if min_len < min(5, signal_per_class):  # a sentence holds up to that many signal tokens
+        raise DataError(f"min_len={min_len} must be at least min(5, signal_per_class)")
+    if max_len < min_len:
+        raise DataError(f"max_len={max_len} is below min_len={min_len}")
+    if not 0 < eval_fraction < 1:
+        raise DataError(f"eval_fraction={eval_fraction} must lie strictly between 0 and 1")
     n_signal = n_classes * signal_per_class
     n_background = vocab_size - n_signal
     if n_background < 10:

@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .data import Dataset, iter_batches
-from .model import EncoderModel, LayerOutputs, require_int
+from .model import EncoderModel, LayerOutputs, require_int, require_real
 
 LAYER_SETS = ("all", "last", "skip")
 
@@ -32,12 +32,13 @@ class DistillConfig:
     batch_size: int = 16
     epochs: int = 5
     weight_decay: float = 0.0
-    grad_clip_norm: float = 1.0
+    grad_clip_norm: float = 1.0  # 0: no clipping
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.lambda_distill < np.inf:
-            raise ValueError("lambda_distill must be finite and non-negative")
+        require_real("learning_rate", self.learning_rate, positive=True)
+        for name in ("lambda_distill", "weight_decay", "grad_clip_norm"):
+            require_real(name, getattr(self, name))
         if self.layer_set not in LAYER_SETS:
             raise ValueError(f"layer_set must be one of {LAYER_SETS}")
         require_int("batch_size", self.batch_size, 1)
@@ -134,7 +135,7 @@ def evaluate_accuracy(model: EncoderModel, dataset: Dataset) -> float:
     correct = 0
     with T.no_grad():
         for ids, mask, labels in iter_batches(dataset, 32):
-            logits, _ = model.forward(ids, mask, training=False)
+            logits, _ = model.forward(ids, mask)
             correct += int((np.argmax(logits.data, axis=1) == labels).sum())
     return correct / len(dataset)
 
@@ -152,7 +153,8 @@ def _train(model: EncoderModel, batch_loss, phase: str, train: Dataset,
         sums = np.zeros(3)
         n_batches = 0
         for ids, mask, labels in iter_batches(train, config.batch_size, rng):
-            model.zero_grads()
+            for p in params:
+                p.zero_grad()
             loss, parts = batch_loss(ids, mask, labels, rng)
             if not np.isfinite(loss.item()):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch} step {step}")
@@ -179,7 +181,7 @@ def train_teacher(model: EncoderModel, train: Dataset, config: DistillConfig,
                   eval_set: Dataset | None = None, metrics_sink=None) -> EncoderModel:
     """Plain cross-entropy fine-tuning of the dense teacher."""
     def batch_loss(ids, mask, labels, rng):
-        logits, _ = model.forward(ids, mask, training=True, rng=rng)
+        logits, _ = model.forward(ids, mask, rng=rng)
         loss = T.cross_entropy_logits(logits, labels)
         return loss, (loss.item(), 0.0, 0.0)
 
@@ -188,13 +190,12 @@ def train_teacher(model: EncoderModel, train: Dataset, config: DistillConfig,
 
 def distill_batch_loss(student: EncoderModel, teacher: EncoderModel,
                        ids, mask, labels, config: DistillConfig,
-                       rng: np.random.Generator | None = None,
-                       training: bool = True):
+                       rng: np.random.Generator | None = None):
     """Combined objective for one batch and its (ce, trm, pred) parts as floats;
-    the teacher runs without a graph."""
+    the teacher runs without a graph, and the student with dropout if given ``rng``."""
     with T.no_grad():
-        t_logits, t_layers = teacher.forward(ids, mask, training=False)
-    s_logits, s_layers = student.forward(ids, mask, training=training, rng=rng)
+        t_logits, t_layers = teacher.forward(ids, mask)
+    s_logits, s_layers = student.forward(ids, mask, rng=rng)
     ce = T.cross_entropy_logits(s_logits, labels)
     if config.lambda_distill > 0:
         trm = loss_trm(s_layers, t_layers, config.layer_set)

@@ -88,7 +88,7 @@ def accumulate_importance(teacher: EncoderModel, dataset: Dataset) -> Importance
         for ids, mask, labels in iter_batches(dataset, BATCH_SIZE):
             for l, ffn in enumerate(ffns):
                 ffn.sink = _example_scores_into(scores[l], ffn.b1[0].data, len(labels))
-            logits, _ = teacher.forward(ids, mask, training=False)
+            logits, _ = teacher.forward(ids, mask)
             # the summed loss: each example's gradient is its own, unscaled
             T.mul(T.cross_entropy_logits(logits, labels), float(len(labels))).backward()
             del logits, _  # frees this batch's graph before the next forward builds one
@@ -127,7 +127,7 @@ def importance_oracle(teacher: EncoderModel, dataset: Dataset, layer: int, j: in
         total = 0.0
         with T.no_grad():
             for ids, mask, labels in iter_batches(dataset, BATCH_SIZE):
-                logits, _ = teacher.forward(ids, mask, training=False)
+                logits, _ = teacher.forward(ids, mask)
                 total += T.cross_entropy_logits(logits, labels).item() * len(labels)
         return total
 

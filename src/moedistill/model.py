@@ -10,6 +10,7 @@ X^l post-layernorm).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -24,6 +25,15 @@ def require_int(name: str, value, low: int) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is an integer >= ``low``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def require_real(name: str, value, positive: bool = False) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a finite real >= 0
+    (> 0 if ``positive``)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+        raise ValueError(f"{name} must be a finite real {'>' if positive else '>='} 0, "
+                         f"got {value!r}")
 
 
 @dataclass
@@ -83,6 +93,10 @@ class LayerOutputs:
     mask: np.ndarray
 
 
+_LAYER_TENSORS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
+                  "attn_ln_g", "attn_ln_b", "ffn_ln_g", "ffn_ln_b")
+
+
 class EncoderLayer:
     """One transformer block: self-attention + FFN, post-layernorm.
 
@@ -114,13 +128,17 @@ class EncoderLayer:
         self.ffn_ln_b = Tensor(np.zeros(d), requires_grad=True)
         self.num_heads = cfg.num_heads
 
-    def parameters(self):
-        ps = [self.wq, self.bq, self.wk, self.bk, self.wv, self.bv,
-              self.wo, self.bo, self.attn_ln_g, self.attn_ln_b]
-        ps += self.ffn.parameters() + [self.ffn_ln_g, self.ffn_ln_b]
+    def named_parameters(self, prefix: str = "") -> dict[str, Tensor]:
+        """This block's tensors by checkpoint name: attention and layernorms, then the
+        FFN (``ffn_*`` while dense, ``expert{e}.*`` once routed), then ``gate_w``."""
+        named = {prefix + n: getattr(self, n) for n in _LAYER_TENSORS}
+        ffn = self.ffn
+        tags = ["ffn_"] if self.routing is None else [f"expert{e}." for e in range(ffn.num_experts)]
+        for e, tag in enumerate(tags):
+            named.update({prefix + tag + k: getattr(ffn, k)[e] for k in ("w1", "b1", "w2", "b2")})
         if self.routing is not None and self.routing.gate_weight is not None:
-            ps.append(self.routing.gate_weight)
-        return ps
+            named[prefix + "gate_w"] = self.routing.gate_weight
+        return named
 
     def forward(self, x: Tensor, bias: np.ndarray, mask: np.ndarray, token_ids: np.ndarray,
                 dropout_p: float, rng: np.random.Generator | None) -> Tensor:
@@ -160,37 +178,16 @@ class EncoderModel:
 
     # -- parameter access ---------------------------------------------------
 
-    def parameters(self) -> list[Tensor]:
-        ps = [self.tok_emb, self.pos_emb, self.emb_ln_g, self.emb_ln_b]
-        for layer in self.layers:
-            ps += layer.parameters()
-        ps += [self.pool_w, self.pool_b, self.cls_w, self.cls_b]
-        return ps
-
     def named_parameters(self) -> dict[str, Tensor]:
-        named = {"tok_emb": self.tok_emb, "pos_emb": self.pos_emb,
-                 "emb_ln_g": self.emb_ln_g, "emb_ln_b": self.emb_ln_b}
+        """Every tensor once, by checkpoint name, in checkpoint payload order."""
+        named = {n: getattr(self, n) for n in ("tok_emb", "pos_emb", "emb_ln_g", "emb_ln_b")}
         for i, layer in enumerate(self.layers):
-            p = f"layer{i}."
-            named.update({p + "wq": layer.wq, p + "bq": layer.bq,
-                          p + "wk": layer.wk, p + "bk": layer.bk,
-                          p + "wv": layer.wv, p + "bv": layer.bv,
-                          p + "wo": layer.wo, p + "bo": layer.bo,
-                          p + "attn_ln_g": layer.attn_ln_g, p + "attn_ln_b": layer.attn_ln_b,
-                          p + "ffn_ln_g": layer.ffn_ln_g, p + "ffn_ln_b": layer.ffn_ln_b})
-            ffn = layer.ffn
-            if layer.routing is None:
-                named.update({p + "ffn_w1": ffn.w1[0], p + "ffn_b1": ffn.b1[0],
-                              p + "ffn_w2": ffn.w2[0], p + "ffn_b2": ffn.b2[0]})
-            else:
-                for e in range(ffn.num_experts):
-                    named.update({p + f"expert{e}.w1": ffn.w1[e], p + f"expert{e}.b1": ffn.b1[e],
-                                  p + f"expert{e}.w2": ffn.w2[e], p + f"expert{e}.b2": ffn.b2[e]})
-                if layer.routing.gate_weight is not None:
-                    named[p + "gate_w"] = layer.routing.gate_weight
-        named.update({"pool_w": self.pool_w, "pool_b": self.pool_b,
-                      "cls_w": self.cls_w, "cls_b": self.cls_b})
+            named.update(layer.named_parameters(f"layer{i}."))
+        named.update({n: getattr(self, n) for n in ("pool_w", "pool_b", "cls_w", "cls_b")})
         return named
+
+    def parameters(self) -> list[Tensor]:
+        return list(self.named_parameters().values())
 
     def zero_grads(self):
         for p in self.parameters():
@@ -203,8 +200,9 @@ class EncoderModel:
     # -- forward ------------------------------------------------------------
 
     def forward(self, token_ids: np.ndarray, mask: np.ndarray,
-                training: bool = False,
                 rng: np.random.Generator | None = None) -> tuple[Tensor, LayerOutputs]:
+        """Logits and the hidden states X^0 .. X^L; dropout runs exactly when ``rng``
+        is given (training), and never without one (evaluation, the teacher)."""
         token_ids = np.asarray(token_ids, dtype=np.int64)
         mask = np.asarray(mask, dtype=np.float64)
         batch, seq = token_ids.shape
@@ -214,15 +212,15 @@ class EncoderModel:
             raise ShapeError("encoder_forward", (batch, seq), (self.cfg.max_seq_len,))
         if token_ids.min(initial=0) < 0 or token_ids.max(initial=0) >= self.cfg.vocab_size:
             raise ValueError("token id outside the vocabulary")
-        p, drop_rng = self.cfg.dropout, (rng if training else None)  # no rng: no dropout
+        p = self.cfg.dropout
 
         x = T.layernorm(T.take(self.tok_emb, token_ids), self.emb_ln_g, self.emb_ln_b,
                         residual=T.take(self.pos_emb, np.arange(seq)))
-        x = T.dropout(T.check_finite(x, "embeddings"), p, drop_rng)
+        x = T.dropout(T.check_finite(x, "embeddings"), p, rng)
         hidden = [x]
         bias = np.where(mask[:, None, None, :] > 0, 0.0, -1e9)  # padded keys get no attention
         for layer in self.layers:
-            x = layer.forward(x, bias, mask, token_ids, p, drop_rng)
+            x = layer.forward(x, bias, mask, token_ids, p, rng)
             hidden.append(x)
 
         cls_vec = T.reshape(T.take(x, np.asarray([0]), axis=1), (batch, self.cfg.embed_dim))
@@ -234,43 +232,28 @@ class EncoderModel:
 # -- analytic cost accounting ----------------------------------------------
 
 
-def _ffn_shape(cfg: ModelConfig) -> tuple[int, int]:
-    """(the FFN width one token runs through, the gate's column count) per layer."""
-    if cfg.moe is None:
-        return cfg.ffn_hidden, 0
-    return cfg.moe.expert_dim, (cfg.moe.num_experts if cfg.moe.routing == GATE else 0)
+def cost(cfg: ModelConfig, seq_len: int | None = None) -> dict:
+    """The analytic cost of one token's forward pass, as ``bench.json`` reports it.
 
-
-def effective_param_count(cfg: ModelConfig) -> int:
-    """Parameters touched computing one token's forward pass.
-
-    Dense: every parameter. MoE: per layer, attention + a single expert's
-    FFN + the gate weight (if any); embeddings and heads counted once.
+    ``effective_params``: the parameters the token touches, that is every
+    parameter of a dense model; for an MoE model, per layer, attention, one
+    expert's FFN and the gate weight (if any), with embeddings and heads once.
+    ``total_params``: every stored parameter, all experts included.
+    ``flops_per_token``: multiply-accumulates by part and in total. The FFN term
+    uses ``expert_dim``, independent of the number of experts; attention's
+    score and mix terms scale with ``seq_len`` (default: ``max_seq_len``).
     """
-    d, (width, gate) = cfg.embed_dim, _ffn_shape(cfg)
+    d, layers, moe = cfg.embed_dim, cfg.num_layers, cfg.moe
+    width, experts = (cfg.ffn_hidden, 1) if moe is None else (moe.expert_dim, moe.num_experts)
+    gate = experts if moe is not None and moe.routing == GATE else 0
+    ffn = 2 * d * width + width + d
     # attention projections, two layernorms, one FFN, the gate
-    per_layer = 4 * (d * d + d) + 4 * d + (2 * d * width + width + d) + d * gate
-    embeddings = (cfg.vocab_size + cfg.max_seq_len + 2) * d  # with their layernorm
-    return embeddings + cfg.num_layers * per_layer + d * d + d + (d + 1) * cfg.num_labels
-
-
-def total_param_count(cfg: ModelConfig) -> int:
-    """All stored parameters (MoE counts every expert)."""
-    if cfg.moe is None:
-        return effective_param_count(cfg)
-    n, e, d = cfg.moe.num_experts, cfg.moe.expert_dim, cfg.embed_dim
-    return effective_param_count(cfg) + cfg.num_layers * (n - 1) * (2 * d * e + e + d)
-
-
-def flops_breakdown(cfg: ModelConfig, seq_len: int | None = None) -> dict[str, int]:
-    """Analytic multiply-accumulate count for one token's forward pass.
-
-    The MoE FFN term uses expert_dim and is independent of the number of
-    experts. Attention score/mix terms scale with ``seq_len`` (defaults to
-    the configured maximum).
-    """
-    d, (width, gate), layers = cfg.embed_dim, _ffn_shape(cfg), cfg.num_layers
-    terms = {"attention": layers * (4 * d * d + 2 * (seq_len or cfg.max_seq_len) * d),
+    per_layer = 4 * (d * d + d) + 4 * d + ffn + d * gate
+    effective = ((cfg.vocab_size + cfg.max_seq_len + 2) * d  # embeddings with their layernorm
+                 + layers * per_layer + d * d + d + (d + 1) * cfg.num_labels)
+    flops = {"attention": layers * (4 * d * d + 2 * (seq_len or cfg.max_seq_len) * d),
              "ffn": layers * 2 * d * width, "gate": layers * d * gate,
              "head": d * d + d * cfg.num_labels}
-    return {**terms, "total": sum(terms.values())}
+    return {"effective_params": effective,
+            "total_params": effective + layers * (experts - 1) * ffn,
+            "flops_per_token": {**flops, "total": sum(flops.values())}}

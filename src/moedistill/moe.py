@@ -60,9 +60,6 @@ class ExpertSet:
     def expert_dim(self) -> int:
         return self.w1[0].shape[1]
 
-    def parameters(self) -> list[Tensor]:
-        return [*self.w1, *self.b1, *self.w2, *self.b2]
-
 
 @dataclass
 class RoutingTable:

@@ -23,8 +23,7 @@ from .data import (Dataset, Vocab, build_vocab, encode_dataset, gen_synthetic_ta
                    load_tsv, pad_batch)
 from .distill import DistillConfig, evaluate_accuracy, train_student, train_teacher
 from .importance import ImportanceTable, accumulate_importance
-from .model import (EncoderModel, ModelConfig, MoEConfig, effective_param_count,
-                    flops_breakdown, require_int, total_param_count)
+from .model import EncoderModel, ModelConfig, MoEConfig, cost, require_int
 from .moe import (ADAPT_IMPORTANCE, ADAPT_MODES, GATE, RoutingTable, adapt_ffn,
                   build_routing, routing_loads)
 
@@ -206,7 +205,7 @@ def bench_inference(model: EncoderModel, dataset: Dataset, repeats: int = 5) -> 
         start = time.perf_counter()
         with T.no_grad():
             for ids, mask in batches:
-                model.forward(ids, mask, training=False)
+                model.forward(ids, mask)
         return time.perf_counter() - start
 
     for _ in range(2):
@@ -218,9 +217,7 @@ def bench_inference(model: EncoderModel, dataset: Dataset, repeats: int = 5) -> 
         "median_seconds": median,
         "repeats": repeats,
         "seq_len": seq_len,
-        "effective_params": effective_param_count(model.cfg),
-        "total_params": total_param_count(model.cfg),
-        "flops_per_token": flops_breakdown(model.cfg, seq_len),
+        **cost(model.cfg, seq_len),
     }
 
 

@@ -158,7 +158,7 @@ def importance_per_example(teacher, dataset) -> dict[int, np.ndarray]:
     for ex in dataset.examples:
         ids, mask, labels = D.pad_batch([ex])
         teacher.zero_grads()
-        logits, _ = teacher.forward(ids, mask, training=False)
+        logits, _ = teacher.forward(ids, mask)
         T.cross_entropy_logits(logits, labels).backward()
         for l, layer in enumerate(teacher.layers):
             w1, w2 = layer.ffn.w1[0], layer.ffn.w2[0]

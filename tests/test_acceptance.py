@@ -21,9 +21,7 @@ from moedistill.data import (Dataset, build_vocab, encode_dataset,
                              gen_synthetic_task, iter_batches)
 from moedistill.importance import (ImportanceTable, accumulate_importance,
                                    importance_oracle)
-from moedistill.model import (EncoderModel, ModelConfig, MoEConfig,
-                              effective_param_count, flops_breakdown,
-                              total_param_count)
+from moedistill.model import EncoderModel, ModelConfig, MoEConfig, cost
 from moedistill.moe import adapt_ffn, routing_loads
 from moedistill.pipeline import adapt_model, bench_inference
 from oracles import discarded_columns, shared_columns
@@ -93,8 +91,7 @@ def test_criterion_3_student_objective_gradients():
     dcfg = train_cfg(lambda_distill=1.0)
 
     def objective():
-        total, _ = D.distill_batch_loss(student, teacher, ids, mask, labels,
-                                        dcfg, training=False)
+        total, _ = D.distill_batch_loss(student, teacher, ids, mask, labels, dcfg)
         return total
 
     # the five-point stencil at its default step leaves about 1e-13 of
@@ -140,14 +137,14 @@ def test_criterion_4_structural_counts():
                         np.ones(50), seed=0)
     manual = sum(t.data.size for name, t in model.named_parameters().items()
                  if ".expert" not in name or ".expert0." in name)
-    assert effective_param_count(model.cfg) == manual
+    assert cost(model.cfg)["effective_params"] == manual
 
     # transformer-base shapes: effective/total close to the 66M/110M ratio
     base = dict(vocab_size=30522, embed_dim=768, ffn_hidden=3072,
                 num_layers=12, num_heads=12, max_seq_len=512, num_labels=2)
     dense = ModelConfig(**base)
     moe = ModelConfig(**base, moe=MoEConfig(4, 768, 512, "hash_random"))
-    ratio = effective_param_count(moe) / total_param_count(dense)
+    ratio = cost(moe)["effective_params"] / cost(dense)["total_params"]
     target = 66 / 110
     assert abs(ratio - target) / target <= 0.05, f"ratio {ratio:.4f}"
 
@@ -269,13 +266,12 @@ def test_criterion_8_inference_economics():
     base = dict(vocab_size=500, embed_dim=256, ffn_hidden=2048, num_layers=2,
                 num_heads=4, max_seq_len=128, num_labels=2)
     dense_cfg = ModelConfig(**base)
-    dense_ffn = flops_breakdown(dense_cfg, 128)["ffn"]
+    dense_ffn = cost(dense_cfg, 128)["flops_per_token"]["ffn"]
     for n in (2, 4, 8):
         cfg = ModelConfig(**base, moe=MoEConfig(n, 2048 // n, 0, "hash_random"))
-        assert flops_breakdown(cfg, 128)["ffn"] * n == dense_ffn
-    fixed = [flops_breakdown(
-        ModelConfig(**base, moe=MoEConfig(n, 512, 0, "hash_random")), 128)["ffn"]
-        for n in (2, 4, 8)]
+        assert cost(cfg, 128)["flops_per_token"]["ffn"] * n == dense_ffn
+    fixed = [cost(ModelConfig(**base, moe=MoEConfig(n, 512, 0, "hash_random")),
+                  128)["flops_per_token"]["ffn"] for n in (2, 4, 8)]
     assert fixed[0] == fixed[1] == fixed[2]
 
     task = gen_synthetic_task(0, n_examples=10, n_classes=2, vocab_size=200)

@@ -127,6 +127,20 @@ class TestErrors:
         ("FileExistsError", "afile", {"out_dir": "afile"}, []),
         ("ConfigError", "--repeats", {}, ["--repeats", "0"]),
         ("ConfigError", "--repeats", {}, ["--repeats", "-2"]),
+        ("ConfigError", "learning_rate", {"teacher_train": {"learning_rate": "x"}}, []),
+        ("ConfigError", "learning_rate", {"teacher_train": {"learning_rate": -1.0}}, []),
+        ("ConfigError", "learning_rate", {"student_train": {"learning_rate": 0}}, []),
+        ("ConfigError", "learning_rate", {"teacher_train": {"learning_rate": float("inf")}}, []),
+        ("ConfigError", "grad_clip_norm", {"teacher_train": {"grad_clip_norm": "x"}}, []),
+        ("ConfigError", "grad_clip_norm", {"student_train": {"grad_clip_norm": -1.0}}, []),
+        ("ConfigError", "weight_decay", {"teacher_train": {"weight_decay": "x"}}, []),
+        ("ConfigError", "weight_decay", {"teacher_train": {"weight_decay": -5.0}}, []),
+        ("ConfigError", "weight_decay", {"student_train": {"weight_decay": float("nan")}}, []),
+        ("DataError", "signal_per_class", {"data": {"synthetic": {"signal_per_class": 0}}}, []),
+        ("DataError", "min_len", {"data": {"synthetic": {"min_len": 1, "max_len": 2}}}, []),
+        ("DataError", "max_len", {"data": {"synthetic": {"min_len": 17, "max_len": 16}}}, []),
+        ("DataError", "eval_fraction", {"data": {"synthetic": {"eval_fraction": -1}}}, []),
+        ("DataError", "eval_fraction", {"data": {"synthetic": {"eval_fraction": 1}}}, []),
     ], ids=["zero-experts", "zero-experts-flag", "negative-shared", "negative-shared-flag",
             "model-unknown-key", "heads-not-dividing-embed-dim", "teacher-unknown-key",
             "unknown-layer-set", "zero-batch-size", "string-seed", "zero-width-experts",
@@ -135,7 +149,11 @@ class TestErrors:
             "data-unknown-key", "string-min-freq", "string-has-header",
             "model-sets-vocab-size", "model-sets-num-labels", "model-sets-moe",
             "tsv-not-utf8", "tsv-is-a-directory", "out-dir-is-a-file", "zero-repeats",
-            "negative-repeats"])
+            "negative-repeats", "string-learning-rate", "negative-learning-rate",
+            "zero-learning-rate", "infinite-learning-rate", "string-grad-clip-norm",
+            "negative-grad-clip-norm", "string-weight-decay", "negative-weight-decay",
+            "nan-weight-decay", "zero-signal-per-class", "min-len-below-signal-tokens",
+            "min-len-above-max-len", "negative-eval-fraction", "eval-fraction-one"])
     def test_bad_run_config_rejected_before_any_stage(self, tmp_path, capsys, monkeypatch,
                                                       error, field, overrides, flags):
         # the data files that rows name, relative to the working directory

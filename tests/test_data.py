@@ -120,3 +120,24 @@ class TestSyntheticTask:
     def test_vocab_too_small_raises(self):
         with pytest.raises(D.DataError):
             D.gen_synthetic_task(0, n_examples=10, n_classes=5, vocab_size=35)
+
+    @pytest.mark.parametrize("field,kw", [
+        ("signal_per_class", dict(signal_per_class=0)),
+        ("signal_per_class", dict(signal_per_class=1)),
+        ("min_len", dict(min_len=1, max_len=2)),
+        ("min_len", dict(signal_per_class=3, min_len=2)),
+        ("max_len", dict(min_len=9, max_len=8)),
+        ("eval_fraction", dict(eval_fraction=-1)),
+        ("eval_fraction", dict(eval_fraction=0.0)),
+        ("eval_fraction", dict(eval_fraction=1.0)),
+    ])
+    def test_bad_shape_raises_data_error_naming_the_field(self, field, kw):
+        with pytest.raises(D.DataError, match=field):
+            D.gen_synthetic_task(0, n_examples=20, n_classes=2, vocab_size=100, **kw)
+
+    @pytest.mark.parametrize("kw", [dict(signal_per_class=2, min_len=2, max_len=2),
+                                    dict(signal_per_class=9, min_len=5, max_len=5),
+                                    dict(eval_fraction=0.01)])
+    def test_edge_shapes_are_accepted(self, kw):
+        task = D.gen_synthetic_task(0, n_examples=20, n_classes=2, vocab_size=100, **kw)
+        assert len(task.train) + len(task.eval) == 20

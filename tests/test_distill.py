@@ -179,7 +179,7 @@ class TestTrainTeacher:
             losses = []
             for ids, mask, labels in iter_batches(train, cfg.batch_size, rng):
                 mb.zero_grads()
-                logits, _ = mb.forward(ids, mask, training=True, rng=rng)
+                logits, _ = mb.forward(ids, mask, rng=rng)
                 loss = T.cross_entropy_logits(logits, labels)
                 loss.backward()
                 assert D.clip_gradients(params, cfg.grad_clip_norm) > cfg.grad_clip_norm
@@ -271,8 +271,7 @@ class TestTrainStudent:
         student = adapt_model(teacher, table, moe, vocab.freqs, seed=0)
         ids, mask, labels = next(iter_batches(train, 8))
         cfg = D.DistillConfig(lambda_distill=1.0, seed=0)
-        _, (_, trm, pred) = D.distill_batch_loss(student, teacher, ids, mask, labels,
-                                                 cfg, training=False)
+        _, (_, trm, pred) = D.distill_batch_loss(student, teacher, ids, mask, labels, cfg)
         assert trm <= 1e-9
         assert pred <= 1e-9
 
@@ -293,7 +292,7 @@ class TestTrainStudent:
         for _ in range(cfg.epochs):
             for ids, mask, labels in iter_batches(train, cfg.batch_size, rng):
                 sb.zero_grads()
-                logits, _ = sb.forward(ids, mask, training=True, rng=rng)
+                logits, _ = sb.forward(ids, mask, rng=rng)
                 loss = T.cross_entropy_logits(logits, labels)
                 loss.backward()
                 D.clip_gradients(params, cfg.grad_clip_norm)
@@ -328,13 +327,36 @@ class TestTrainStudent:
         expert_w = student.layers[0].ffn.w1[1]
 
         def f():
-            total, _ = D.distill_batch_loss(student, teacher, ids, mask, labels,
-                                            cfg, training=False)
+            total, _ = D.distill_batch_loss(student, teacher, ids, mask, labels, cfg)
             return total
 
         err = T.finite_diff_check(f, [expert_w], n_samples=20,
                                   rng=np.random.default_rng(0))
         assert err <= 1e-4
+
+
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", "x"), ("learning_rate", -1.0), ("learning_rate", 0.0),
+    ("learning_rate", float("inf")), ("learning_rate", float("nan")), ("learning_rate", True),
+    ("weight_decay", "x"), ("weight_decay", -5.0), ("weight_decay", float("inf")),
+    ("grad_clip_norm", "x"), ("grad_clip_norm", -1.0), ("grad_clip_norm", float("nan")),
+    ("lambda_distill", "x"),
+])
+def test_config_rejects_bad_optimizer_setting(field, value):
+    with pytest.raises(ValueError, match=field):
+        D.DistillConfig(**{field: value})
+
+
+def test_config_accepts_optimizer_edge_values():
+    cfg = D.DistillConfig(learning_rate=1, weight_decay=0, grad_clip_norm=0.0)
+    assert (cfg.learning_rate, cfg.weight_decay, cfg.grad_clip_norm) == (1, 0, 0.0)
+
+
+def test_zero_clip_norm_leaves_gradients_unscaled():
+    p = Tensor(np.zeros(3), requires_grad=True)
+    p.grad = np.array([3.0, 4.0, 0.0])
+    assert D.clip_gradients([p], 0.0) == 5.0
+    np.testing.assert_array_equal(p.grad, [3.0, 4.0, 0.0])
 
 
 def test_config_validation():

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from moedistill import tensor as T
+from moedistill.checkpoint import load_checkpoint, read_header, save_checkpoint
+from moedistill.data import Dataset, Example
 from moedistill.importance import ImportanceTable
-from moedistill.model import (EncoderModel, ModelConfig, MoEConfig,
-                              effective_param_count, flops_breakdown,
-                              total_param_count)
-from moedistill.pipeline import adapt_model
+from moedistill.model import EncoderModel, ModelConfig, MoEConfig, cost
+from moedistill.pipeline import adapt_model, bench_inference
 from moedistill.tensor import Tensor, ShapeError, NonFiniteError
 from oracles import count_total_params, one_expert_ffn
 
@@ -129,7 +129,7 @@ class TestParamCounting:
     def test_dense_effective_equals_enumeration(self):
         cfg = small_cfg()
         model = EncoderModel(cfg, seed=0)
-        assert effective_param_count(cfg) == count_total_params(model)
+        assert cost(cfg)["effective_params"] == count_total_params(model)
 
     def test_dense_parameter_names(self):
         # checkpoints and outside readers address a dense FFN by these names
@@ -150,13 +150,13 @@ class TestParamCounting:
         expert_ffn = 2 * d * e + e + d
         diff = cfg.num_layers * (dense_ffn - expert_ffn)
         dense_cfg = small_cfg()
-        assert effective_param_count(cfg) == effective_param_count(dense_cfg) - diff
+        assert cost(cfg)["effective_params"] == cost(dense_cfg)["effective_params"] - diff
 
     def test_single_full_expert_equals_dense(self):
         moe = MoEConfig(num_experts=1, expert_dim=32, shared_dim=0,
                         routing="hash_random")
-        assert effective_param_count(small_cfg(moe=moe)) == \
-            effective_param_count(small_cfg())
+        assert cost(small_cfg(moe=moe))["effective_params"] == \
+            cost(small_cfg())["effective_params"]
 
     def test_total_count_matches_stored_tensors(self):
         moe = MoEConfig(num_experts=4, expert_dim=8, shared_dim=2, routing="gate")
@@ -167,7 +167,7 @@ class TestParamCounting:
         table = ImportanceTable(
             {l: np.arange(32, dtype=float)[::-1].copy() for l in range(2)}, 1)
         student = adapt_model(teacher, table, moe, np.ones(50), seed=0)
-        assert count_total_params(student) == total_param_count(cfg)
+        assert count_total_params(student) == cost(cfg)["total_params"]
 
     def test_paper_shaped_ratio(self):
         # BERT-base shape: the MoE effective/dense ratio should land near 66/110
@@ -179,22 +179,80 @@ class TestParamCounting:
                           num_labels=2,
                           moe=MoEConfig(num_experts=4, expert_dim=768,
                                         shared_dim=512, routing="hash_random"))
-        ratio = effective_param_count(moe) / effective_param_count(dense)
+        ratio = cost(moe)["effective_params"] / cost(dense)["effective_params"]
         assert ratio == pytest.approx(66 / 110, rel=0.05)
+
+
+def _reachable_tensors(model):
+    """Every Tensor the model holds, found by walking its attributes, not its registry."""
+    found = [v for v in vars(model).values() if isinstance(v, Tensor)]
+    for layer in model.layers:
+        found += [v for v in vars(layer).values() if isinstance(v, Tensor)]
+        found += [*layer.ffn.w1, *layer.ffn.b1, *layer.ffn.w2, *layer.ffn.b2]
+        if layer.routing is not None and layer.routing.gate_weight is not None:
+            found.append(layer.routing.gate_weight)
+    return found
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("reloaded", [False, True], ids=["built", "reloaded"])
+    @pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
+    def test_parameters_are_the_named_tensors_each_once(self, kind, reloaded, tmp_path):
+        model = _tiny_models()[kind]
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(model, path)
+        if reloaded:
+            model = load_checkpoint(path)
+        named, params = model.named_parameters(), model.parameters()
+        assert len(params) == len(named)
+        assert all(p is t for p, t in zip(params, named.values()))
+        held = _reachable_tensors(model)
+        assert len({id(t) for t in params}) == len(params) == len(held)
+        assert {id(t) for t in params} == {id(t) for t in held}
+        assert list(named) == [m["name"] for m in read_header(path)["manifest"]]
+        gates = [f"layer{i}.gate_w" for i in range(2)] if kind == "gate" else []
+        assert [n for n in named if n.endswith("gate_w")] == gates
+        for i, name in enumerate(gates):
+            assert named[name] is model.layers[i].routing.gate_weight
+
+    def test_routed_layer_names(self):
+        per_layer = ["wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "attn_ln_g",
+                     "attn_ln_b", "ffn_ln_g", "ffn_ln_b"]
+        experts = [f"expert{e}.{k}" for e in range(2) for k in ("w1", "b1", "w2", "b2")]
+        names = list(_tiny_models()["gate"].named_parameters())
+        assert names[4:4 + 21] == [f"layer0.{n}" for n in per_layer + experts + ["gate_w"]]
+
+    @pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
+    def test_bench_inference_reports_cost(self, kind):
+        model = _tiny_models()[kind]
+        report = bench_inference(model, Dataset([Example(np.array([2, 5, 9]), 0)], 3),
+                                 repeats=1)
+        assert {k: report[k] for k in ("effective_params", "total_params",
+                                       "flops_per_token")} == cost(model.cfg, report["seq_len"])
+        assert report["seq_len"] == model.cfg.max_seq_len
+
+
+def test_dropout_runs_exactly_when_an_rng_is_given():
+    model = EncoderModel(small_cfg(dropout=0.5), seed=0)
+    ids, mask = rand_batch(model.cfg)
+    plain = model.forward(ids, mask)[0].data
+    np.testing.assert_array_equal(model.forward(ids, mask, rng=None)[0].data, plain)
+    dropped = model.forward(ids, mask, rng=np.random.default_rng(0))[0].data
+    assert not np.array_equal(dropped, plain)
 
 
 class TestFlops:
     def test_moe_ffn_term_ratio_exact(self):
         dense = small_cfg()
         moe = small_cfg(moe=MoEConfig(4, 8, 2, "hash_random"))
-        r = flops_breakdown(moe)["ffn"] / flops_breakdown(dense)["ffn"]
+        r = cost(moe)["flops_per_token"]["ffn"] / cost(dense)["flops_per_token"]["ffn"]
         assert r == 8 / 32
 
     def test_invariant_in_expert_count(self):
         a = small_cfg(moe=MoEConfig(2, 8, 2, "hash_random"))
         b = small_cfg(moe=MoEConfig(4, 8, 2, "hash_random"))
-        assert flops_breakdown(a)["ffn"] == flops_breakdown(b)["ffn"]
-        assert flops_breakdown(a)["total"] == flops_breakdown(b)["total"]
+        assert cost(a)["flops_per_token"]["ffn"] == cost(b)["flops_per_token"]["ffn"]
+        assert cost(a)["flops_per_token"]["total"] == cost(b)["flops_per_token"]["total"]
 
     def test_paper_shape_ffn_shrinks_4x(self):
         dense = ModelConfig(vocab_size=30522, embed_dim=768, ffn_hidden=3072,
@@ -204,7 +262,7 @@ class TestFlops:
                           num_layers=12, num_heads=12, max_seq_len=128,
                           num_labels=2,
                           moe=MoEConfig(4, 768, 512, "hash_random"))
-        assert flops_breakdown(dense)["ffn"] == 4 * flops_breakdown(moe)["ffn"]
+        assert cost(dense)["flops_per_token"]["ffn"] == 4 * cost(moe)["flops_per_token"]["ffn"]
 
 
 class TestConfig:
