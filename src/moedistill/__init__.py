@@ -1,22 +1,3 @@
 """Desk-scale compression of a small encoder transformer: importance-guided
 adaptation of FFNs into a mixture of experts, trained with layer-wise
 knowledge distillation."""
-
-from .tensor import Tensor, finite_diff_check, no_grad
-from .model import EncoderModel, ModelConfig, MoEConfig
-from .importance import ImportanceTable, accumulate_importance, importance_oracle
-from .moe import ExpertSet, RoutingTable, adapt_ffn, build_routing, moe_forward
-from .distill import DistillConfig, loss_distill, loss_pred, loss_trm, train_student, train_teacher
-from .data import Vocab, build_vocab, encode, gen_synthetic_task, load_tsv
-from .pipeline import RunConfig, adapt_model, bench_inference, run_pipeline
-
-__all__ = [
-    "Tensor", "finite_diff_check", "no_grad",
-    "EncoderModel", "ModelConfig", "MoEConfig",
-    "ImportanceTable", "accumulate_importance", "importance_oracle",
-    "ExpertSet", "RoutingTable", "adapt_ffn", "build_routing", "moe_forward",
-    "DistillConfig", "loss_distill", "loss_pred", "loss_trm",
-    "train_student", "train_teacher",
-    "Vocab", "build_vocab", "encode", "gen_synthetic_task", "load_tsv",
-    "RunConfig", "adapt_model", "bench_inference", "run_pipeline",
-]

@@ -171,6 +171,10 @@ def gen_synthetic_task(seed: int, n_examples: int = 1000, n_classes: int = 3,
         raise DataError(f"max_len={max_len} is below min_len={min_len}")
     if not 0 < eval_fraction < 1:
         raise DataError(f"eval_fraction={eval_fraction} must lie strictly between 0 and 1")
+    n_eval = max(1, int(round(eval_fraction * n_examples)))
+    if n_eval >= n_examples:
+        raise DataError(f"n_examples={n_examples} with eval_fraction={eval_fraction} "
+                        "leaves no training examples")
     n_signal = n_classes * signal_per_class
     n_background = vocab_size - n_signal
     if n_background < 10:
@@ -193,7 +197,6 @@ def gen_synthetic_task(seed: int, n_examples: int = 1000, n_classes: int = 3,
         rng.shuffle(toks)
         sentences.append((" ".join(toks), c))
 
-    n_eval = max(1, int(round(eval_fraction * n_examples)))
     return SyntheticTask(
         train=sentences[n_eval:],
         eval=sentences[:n_eval],

@@ -79,10 +79,6 @@ def loss_pred(p_student: Tensor, p_teacher: Tensor) -> Tensor:
     return T.mul(T.add(T.kl_div(p_student, q), T.kl_div(q, p_student)), 0.5)
 
 
-def loss_distill(trm: Tensor, pred: Tensor) -> Tensor:
-    return T.add(trm, pred)
-
-
 class Adam:
     """Adam with optional decoupled weight decay and global-norm clipping."""
 
@@ -200,7 +196,7 @@ def distill_batch_loss(student: EncoderModel, teacher: EncoderModel,
     if config.lambda_distill > 0:
         trm = loss_trm(s_layers, t_layers, config.layer_set)
         pred = loss_pred(T.softmax(s_logits), T.softmax(t_logits))
-        total = T.add(ce, T.mul(loss_distill(trm, pred), config.lambda_distill))
+        total = T.add(ce, T.mul(T.add(trm, pred), config.lambda_distill))
     else:
         trm = pred = Tensor(0.0)
         total = ce

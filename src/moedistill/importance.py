@@ -80,7 +80,7 @@ def accumulate_importance(teacher: EncoderModel, dataset: Dataset) -> Importance
     """Score every FFN neuron of a dense teacher over the full dataset."""
     if len(dataset) == 0:
         raise ImportanceError("empty dataset")
-    if teacher.is_moe:
+    if any(layer.routing is not None for layer in teacher.layers):
         raise ImportanceError("model already adapted; importance needs dense FFNs")
     ffns = [layer.ffn for layer in teacher.layers]
     scores = {l: np.zeros(teacher.cfg.ffn_hidden) for l in range(len(ffns))}
@@ -107,37 +107,3 @@ def _example_scores_into(total: np.ndarray, b1: np.ndarray, batch: int):
         per_example = term.reshape(batch, -1, term.shape[-1]).sum(axis=1)
         np.add(total, np.abs(per_example).sum(axis=0), out=total)
     return sink
-
-
-def importance_oracle(teacher: EncoderModel, dataset: Dataset, layer: int, j: int) -> float:
-    """Exact loss change from removing neuron j of a layer.
-
-    Zeroes column j of W1, entry j of b1 and row j of W2, re-evaluates the
-    summed dataset loss over padded batches, restores the weights, and
-    returns |delta|.
-    """
-    if teacher.layers[layer].routing is not None:
-        raise ImportanceError("model already adapted")
-    ffn = teacher.layers[layer].ffn
-    w1, b1, w2 = ffn.w1[0].data, ffn.b1[0].data, ffn.w2[0].data
-    if not 0 <= j < teacher.cfg.ffn_hidden:
-        raise ImportanceError(f"neuron index {j} out of range")
-
-    def total_loss() -> float:
-        total = 0.0
-        with T.no_grad():
-            for ids, mask, labels in iter_batches(dataset, BATCH_SIZE):
-                logits, _ = teacher.forward(ids, mask)
-                total += T.cross_entropy_logits(logits, labels).item() * len(labels)
-        return total
-
-    base = total_loss()
-    saved = (w1[:, j].copy(), b1[j].copy(), w2[j, :].copy())
-    w1[:, j] = 0.0
-    b1[j] = 0.0
-    w2[j, :] = 0.0
-    try:
-        ablated = total_loss()
-    finally:
-        w1[:, j], b1[j], w2[j, :] = saved
-    return abs(base - ablated)

@@ -193,10 +193,6 @@ class EncoderModel:
         for p in self.parameters():
             p.zero_grad()
 
-    @property
-    def is_moe(self) -> bool:
-        return any(l.routing is not None for l in self.layers)
-
     # -- forward ------------------------------------------------------------
 
     def forward(self, token_ids: np.ndarray, mask: np.ndarray,

@@ -159,11 +159,6 @@ def build_routing(strategy: str, vocab_freqs: np.ndarray | None,
     return RoutingTable(HASH_BALANCED, table=table, num_experts=num_experts)
 
 
-def gate_probs(sentence_repr: Tensor, gate_weight: Tensor) -> Tensor:
-    """Row-wise softmax(sentence_repr · W_g); rows sum to 1."""
-    return softmax(matmul(sentence_repr, gate_weight))
-
-
 def routing_loads(table: np.ndarray, freqs: np.ndarray, num_experts: int) -> np.ndarray:
     """Fraction of corpus token mass routed to each expert (PAD excluded)."""
     loads = np.bincount(table[1:], weights=freqs[1:len(table)], minlength=num_experts)
@@ -188,7 +183,7 @@ def moe_forward(attn_out: Tensor, experts: ExpertSet, routing: RoutingTable | No
             raise MoEError("token id outside the routing table")
         return moe_ffn(attn_out, routing.table[token_ids], *weights)
     batch, seq, _ = attn_out.shape
-    probs = gate_probs(masked_mean_rows(attn_out, mask), routing.gate_weight)
+    probs = softmax(matmul(masked_mean_rows(attn_out, mask), routing.gate_weight))
     sel = np.argmax(probs.data, axis=1)  # ties -> lowest expert id
     route = np.repeat(sel, seq).reshape(batch, seq)
     # every token of sentence b is scaled by probs[b, sel[b]], its one gradient path

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import load_checkpoint, read_header, save_checkpoint, write_atomic
-from .data import (Dataset, Vocab, build_vocab, encode_dataset, gen_synthetic_task,
-                   load_tsv, pad_batch)
+from .data import (DataError, Dataset, Vocab, build_vocab, encode_dataset,
+                   gen_synthetic_task, load_tsv)
 from .distill import DistillConfig, evaluate_accuracy, train_student, train_teacher
 from .importance import ImportanceTable, accumulate_importance
 from .model import EncoderModel, ModelConfig, MoEConfig, cost, require_int
@@ -129,6 +129,9 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
     else:
         train_pairs = load_tsv(spec["train_tsv"], spec.get("has_header", False))
         eval_pairs = load_tsv(spec["eval_tsv"], spec.get("has_header", False))
+        for split, pairs in (("train", train_pairs), ("eval", eval_pairs)):
+            if not pairs:
+                raise DataError(f"{spec[split + '_tsv']}: the {split} split has no examples")
         corpus = [t for t, _ in train_pairs]
         labels = {y for _, y in train_pairs}
         for _, y in eval_pairs:
@@ -137,7 +140,7 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
         num_labels = max(labels) + 1
 
     vocab = build_vocab(corpus, min_freq=spec.get("min_freq", 1))
-    max_len = cfg.model.get("max_seq_len", 64)
+    max_len = cfg.model.get("max_seq_len", ModelConfig.max_seq_len)
     return PreparedData(
         train=encode_dataset(train_pairs, vocab, max_len, num_labels),
         eval=encode_dataset(eval_pairs, vocab, max_len, num_labels),
@@ -193,13 +196,12 @@ def bench_inference(model: EncoderModel, dataset: Dataset, repeats: int = 5) -> 
     seq_len = model.cfg.max_seq_len
     batches = []
     for ex in dataset.examples:
-        ids, mask, _ = pad_batch([ex])
-        fixed_ids = np.zeros((1, seq_len), dtype=np.int64)
-        fixed_mask = np.zeros((1, seq_len))
-        n = min(seq_len, ids.shape[1])
-        fixed_ids[0, :n] = ids[0, :n]
-        fixed_mask[0, :n] = mask[0, :n]
-        batches.append((fixed_ids, fixed_mask))
+        n = min(seq_len, len(ex.ids))
+        ids = np.zeros((1, seq_len), dtype=np.int64)
+        ids[0, :n] = ex.ids[:n]
+        mask = np.zeros((1, seq_len))
+        mask[0, :n] = 1.0  # by length: a literal "<pad>" token is id 0 too
+        batches.append((ids, mask))
 
     def one_pass() -> float:
         start = time.perf_counter()

@@ -404,13 +404,6 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None) -> Tensor:
 # -- reductions and reshaping ----------------------------------------------
 
 
-def tsum(a) -> Tensor:
-    """Sum of every element, as a scalar."""
-    a = as_tensor(a)
-    out = np.asarray(a.data.sum(), dtype=np.float64)
-    return _make("sum", out, [a], lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
-
-
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     try:
@@ -637,60 +630,3 @@ def masked_mean_rows(x, mask) -> Tensor:
     w = m[:, :, None] / counts[:, :, None]
     out = (x.data * w).sum(axis=1)
     return _make("masked_mean_rows", out, [x], lambda g: (g[:, None, :] * w,))
-
-
-# -- gradient checking ------------------------------------------------------
-
-
-def finite_diff_check(f, params, step: float = 1e-3, n_samples: int = 50,
-                      rng: np.random.Generator | None = None) -> float:
-    """Max relative error between analytic gradients of ``f`` and
-    fourth-order central finite differences over sampled coordinates of
-    ``params``.
-
-    The numeric derivative is the five-point stencil, the Richardson
-    extrapolation of the central differences at ``step`` and ``2 * step``: its
-    truncation error is O(step**4), so a step near 1e-3 keeps both truncation
-    and float64 cancellation noise (about eps * |f| / step) near 1e-13 of the
-    objective's scale, where a two-point difference at 1e-6 is left with
-    about 1e-10.
-
-    ``f`` must be a deterministic map from the current parameter values to a
-    scalar Tensor. Analytic gradients are obtained by one forward/backward;
-    each sampled coordinate then costs four extra forward passes.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    rng = rng or np.random.default_rng(0)
-    for p in params:
-        p.zero_grad()
-    loss = f()
-    loss.backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-                for p in params]
-
-    coords = []
-    for pi, p in enumerate(params):
-        for flat in range(p.data.size):
-            coords.append((pi, flat))
-    if len(coords) > n_samples:
-        chosen = rng.choice(len(coords), size=n_samples, replace=False)
-        coords = [coords[i] for i in chosen]
-
-    max_rel = 0.0
-    for pi, flat in coords:
-        p = params[pi]
-        orig = p.data.flat[flat]
-        vals = []
-        with no_grad():
-            for k in (2, 1, -1, -2):
-                p.data.flat[flat] = orig + k * step
-                vals.append(f().item())
-            p.data.flat[flat] = orig
-        f2, f1, m1, m2 = vals
-        numeric = (8.0 * (f1 - m1) - (f2 - m2)) / (12.0 * step)
-        a = analytic[pi].flat[flat]
-        denom = max(abs(a), abs(numeric), 1e-12)
-        rel = abs(a - numeric) / denom
-        max_rel = max(max_rel, rel)
-    return max_rel

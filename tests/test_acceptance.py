@@ -19,12 +19,11 @@ from moedistill import tensor as T
 from moedistill.checkpoint import load_checkpoint, save_checkpoint
 from moedistill.data import (Dataset, build_vocab, encode_dataset,
                              gen_synthetic_task, iter_batches)
-from moedistill.importance import (ImportanceTable, accumulate_importance,
-                                   importance_oracle)
+from moedistill.importance import ImportanceTable, accumulate_importance
 from moedistill.model import EncoderModel, ModelConfig, MoEConfig, cost
 from moedistill.moe import adapt_ffn, routing_loads
 from moedistill.pipeline import adapt_model, bench_inference
-from oracles import discarded_columns, shared_columns
+from oracles import discarded_columns, finite_diff_check, importance_oracle, shared_columns
 
 
 def train_cfg(**kw):
@@ -97,8 +96,8 @@ def test_criterion_3_student_objective_gradients():
     # the five-point stencil at its default step leaves about 1e-13 of
     # cancellation noise on the O(1) objective; coordinates with gradients
     # below ~1e-9 are unverifiable at this tolerance in either direction
-    err = T.finite_diff_check(objective, student.parameters(), n_samples=200,
-                              rng=np.random.default_rng(0))
+    err = finite_diff_check(objective, student.parameters(), n_samples=200,
+                            rng=np.random.default_rng(0))
     assert err <= 1e-4, f"max relative gradient error {err:.3e}"
 
 

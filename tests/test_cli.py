@@ -74,6 +74,25 @@ class TestErrors:
         assert err["error"] == "DataError"
         assert f"{train}:2:" in err["message"]
 
+    @pytest.mark.parametrize("command", ["train-teacher", "pipeline"])
+    @pytest.mark.parametrize("split,has_header,text", [
+        ("eval", False, ""), ("eval", False, "\n\n"), ("eval", True, "text\tlabel\n"),
+        ("train", False, "")])
+    def test_empty_tsv_split(self, tmp_path, capsys, command, split, has_header, text):
+        header = "text\tlabel\n" if has_header else ""
+        data = {"has_header": has_header}
+        for name in ("train", "eval"):
+            path = tmp_path / f"{name}.tsv"
+            path.write_text(text if name == split else header + "good movie\t1\nbad film\t0\n")
+            data[f"{name}_tsv"] = str(path)
+        cfg = write_config(tmp_path, data=data)
+        assert cli.main([command, "--config", cfg]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "DataError"
+        assert err["message"] == f"{data[split + '_tsv']}: the {split} split has no examples"
+
     def test_nonfinite_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path, teacher_train={"epochs": 1, "batch_size": 16,
                                                     "learning_rate": 1e300})

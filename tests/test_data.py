@@ -130,10 +130,15 @@ class TestSyntheticTask:
         ("eval_fraction", dict(eval_fraction=-1)),
         ("eval_fraction", dict(eval_fraction=0.0)),
         ("eval_fraction", dict(eval_fraction=1.0)),
+        # no training example left
+        ("n_examples=150 with eval_fraction=0.999", dict(n_examples=150, eval_fraction=0.999)),
+        ("n_examples=0 with eval_fraction", dict(n_examples=0)),
+        ("n_examples=1 with eval_fraction", dict(n_examples=1)),
+        ("n_examples=-3 with eval_fraction", dict(n_examples=-3)),
     ])
     def test_bad_shape_raises_data_error_naming_the_field(self, field, kw):
         with pytest.raises(D.DataError, match=field):
-            D.gen_synthetic_task(0, n_examples=20, n_classes=2, vocab_size=100, **kw)
+            D.gen_synthetic_task(0, **{"n_examples": 20, "n_classes": 2, "vocab_size": 100, **kw})
 
     @pytest.mark.parametrize("kw", [dict(signal_per_class=2, min_len=2, max_len=2),
                                     dict(signal_per_class=9, min_len=5, max_len=5),

@@ -10,6 +10,7 @@ from moedistill.importance import accumulate_importance
 from moedistill.model import EncoderModel, LayerOutputs, ModelConfig, MoEConfig
 from moedistill.pipeline import adapt_model
 from moedistill.tensor import Tensor
+from oracles import finite_diff_check
 
 
 def fake_layers(shapes, seed=0, mask=None):
@@ -102,25 +103,6 @@ class TestLossPred:
         with pytest.raises(ValueError):
             D.loss_pred(Tensor(np.array([[0.7, 0.1]])),
                         Tensor(np.array([[0.5, 0.5]])))
-
-
-class TestLossDistill:
-    def test_zero_components(self):
-        assert D.loss_distill(Tensor(0.0), Tensor(0.0)).item() == 0.0
-
-    def test_exact_sum(self):
-        assert D.loss_distill(Tensor(1.25), Tensor(0.5)).item() == 1.75
-
-    def test_recomputed_independently(self):
-        mask = np.ones((2, 3))
-        s = fake_layers([(2, 3, 4)] * 2, seed=6, mask=mask)
-        t = fake_layers([(2, 3, 4)] * 2, seed=7, mask=mask)
-        rng = np.random.default_rng(8)
-        p = T.softmax(Tensor(rng.normal(size=(2, 3))))
-        q = T.softmax(Tensor(rng.normal(size=(2, 3))))
-        trm, pred = D.loss_trm(s, t), D.loss_pred(p, q)
-        assert D.loss_distill(trm, pred).item() == pytest.approx(
-            D.loss_trm(s, t).item() + D.loss_pred(p, q).item(), rel=1e-12)
 
 
 class TestClipping:
@@ -275,6 +257,17 @@ class TestTrainStudent:
         assert trm <= 1e-9
         assert pred <= 1e-9
 
+    def test_objective_is_ce_plus_lambda_times_trm_and_pred(self):
+        # the epoch record's "total" is built from the parts by the same rule
+        _, vocab, train, _ = build_task(seed=4, n=40)
+        teacher = small_model(vocab, 3, seed=2)
+        student = make_student(teacher, train, vocab)
+        ids, mask, labels = next(iter_batches(train, 8))
+        cfg = D.DistillConfig(lambda_distill=0.5, seed=0)
+        total, (ce, trm, pred) = D.distill_batch_loss(student, teacher, ids, mask, labels, cfg)
+        assert trm > 0 and pred > 0
+        assert total.item() == pytest.approx(ce + 0.5 * (trm + pred), rel=1e-12)
+
     def test_lambda_zero_equals_ce_only(self):
         _, vocab, train, _ = build_task(seed=5, n=60)
         teacher = small_model(vocab, 3, seed=3)
@@ -330,8 +323,8 @@ class TestTrainStudent:
             total, _ = D.distill_batch_loss(student, teacher, ids, mask, labels, cfg)
             return total
 
-        err = T.finite_diff_check(f, [expert_w], n_samples=20,
-                                  rng=np.random.default_rng(0))
+        err = finite_diff_check(f, [expert_w], n_samples=20,
+                                rng=np.random.default_rng(0))
         assert err <= 1e-4
 
 

@@ -9,7 +9,7 @@ from moedistill.distill import DistillConfig, train_teacher
 from moedistill.model import EncoderModel, ModelConfig, MoEConfig
 from moedistill.pipeline import adapt_model
 
-from oracles import importance_per_example
+from oracles import importance_oracle, importance_per_example
 
 
 def tiny_model(d=4, d_h=6, layers=1, vocab=20, seed=0):
@@ -118,7 +118,7 @@ class TestAccumulate:
         with pytest.raises(imp.ImportanceError):
             imp.accumulate_importance(student, tiny_dataset())
         with pytest.raises(imp.ImportanceError):
-            imp.importance_oracle(student, tiny_dataset(), 0, 0)
+            importance_oracle(student, tiny_dataset(), 0, 0)
 
 
 def ragged_dataset(n, vocab=20, max_len=8, seed=0):
@@ -260,7 +260,7 @@ class TestOracle:
         ffn.w1[0].data[:, 2] = 0.0
         ffn.b1[0].data[2] = 0.0
         ffn.w2[0].data[2, :] = 0.0
-        delta = imp.importance_oracle(model, tiny_dataset(seed=4), 0, 2)
+        delta = importance_oracle(model, tiny_dataset(seed=4), 0, 2)
         assert delta == 0.0
 
     def test_matches_batch1_loss_difference(self):
@@ -280,17 +280,17 @@ class TestOracle:
         for p, data in zip((ffn.w1[0], ffn.b1[0], ffn.w2[0]), saved):
             p.data[...] = data
         assert want > 1e-6
-        assert imp.importance_oracle(model, ds, 1, 5) == pytest.approx(want, abs=1e-12 * base)
+        assert importance_oracle(model, ds, 1, 5) == pytest.approx(want, abs=1e-12 * base)
 
     def test_out_of_range_neuron(self):
         with pytest.raises(imp.ImportanceError):
-            imp.importance_oracle(tiny_model(), tiny_dataset(), 0, 99)
+            importance_oracle(tiny_model(), tiny_dataset(), 0, 99)
 
     def test_weights_restored_after_oracle(self):
         model = tiny_model(seed=5)
         ds = tiny_dataset(seed=5)
         before = model.layers[0].ffn.w1[0].data.copy()
-        imp.importance_oracle(model, ds, 0, 1)
+        importance_oracle(model, ds, 0, 1)
         np.testing.assert_array_equal(model.layers[0].ffn.w1[0].data, before)
 
     def test_zeroing_all_neurons_matches_degenerate_ffn(self):

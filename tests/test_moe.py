@@ -7,7 +7,8 @@ from moedistill import moe as M
 from moedistill import tensor as T
 from moedistill.distill import Adam
 from moedistill.tensor import Tensor
-from oracles import discarded_columns, moe_forward_per_expert, shared_columns
+from oracles import (discarded_columns, finite_diff_check, moe_forward_per_expert,
+                     shared_columns, tsum)
 
 
 def make_ffn(d, d_h, seed=0):
@@ -137,28 +138,6 @@ class TestBuildRouting:
         r = M.build_routing(M.GATE, None, 4, seed=1, embed_dim=16)
         assert r.gate_weight.shape == (16, 4)
         assert r.gate_weight.requires_grad
-
-
-class TestGateProbs:
-    def test_zero_weight_uniform(self):
-        out = M.gate_probs(Tensor(np.random.default_rng(0).normal(size=(5, 8))),
-                           Tensor(np.zeros((8, 4))))
-        np.testing.assert_allclose(out.data, np.full((5, 4), 0.25))
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(1)
-        out = M.gate_probs(Tensor(rng.normal(size=(6, 8))),
-                           Tensor(rng.normal(size=(8, 3))))
-        np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_matches_straight_line_softmax(self):
-        rng = np.random.default_rng(2)
-        x, w = rng.normal(size=(4, 8)), rng.normal(size=(8, 3))
-        out = M.gate_probs(Tensor(x), Tensor(w))
-        z = x @ w
-        expected = np.exp(z - z.max(axis=1, keepdims=True))
-        expected /= expected.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
 class TestMoeForward:
@@ -315,7 +294,7 @@ class TestGroupedDispatch:
             gate.zero_grad()
         out = forward(x, es, routing, ids, mask)
         weight = np.random.default_rng(3).normal(size=out.shape)
-        T.tsum(T.mul(out, Tensor(weight))).backward()
+        tsum(T.mul(out, Tensor(weight))).backward()
         grads = [x.grad] + [p.grad for p in expert_params(es)]
         return out.data, grads + ([gate.grad] if gate is not None else [])
 
@@ -336,11 +315,30 @@ class TestGroupedDispatch:
         if idle:
             assert all(p.grad is None for p in (es.w1[1], es.b1[1], es.w2[1], es.b2[1]))
 
+    def test_gate_gradients_match_finite_differences(self):
+        es, routing, a, ids, mask = self._setup(M.GATE, 4, idle=False)
+        x, wg = Tensor(a, requires_grad=True), routing.gate_weight
+        weight = Tensor(np.random.default_rng(3).normal(size=a.shape))
+        step = 1e-3
+        # a stencil point moves an entry by up to 2 * step, which moves the gap
+        # between two gate logits by at most 2 * step * 2 * max|W_g| (an input
+        # entry) or 2 * step * max|mean row| (a gate entry): the argmax holds
+        rows = (a * mask[:, :, None]).sum(1) / mask.sum(1, keepdims=True)
+        top2 = np.sort(rows @ wg.data, axis=1)[:, -2:]
+        bound = 4 * step * max(np.abs(wg.data).max(), np.abs(rows).max())
+        assert (top2[:, 1] - top2[:, 0]).min() > bound
+
+        def f():
+            return tsum(T.mul(M.moe_forward(x, es, routing, ids, mask), weight))
+
+        assert finite_diff_check(f, [x, wg], step=step, n_samples=60,
+                                 rng=np.random.default_rng(0)) <= 1e-6
+
     @pytest.mark.parametrize("strategy", [M.HASH_RANDOM, M.GATE])
     def test_idle_expert_untouched_by_adam(self, strategy):
         es, routing, a, ids, mask = self._setup(strategy, 4, idle=True)
         out = M.moe_forward(Tensor(a), es, routing, ids, mask)
-        T.tsum(T.mul(out, out)).backward()
+        tsum(T.mul(out, out)).backward()
         idle = [es.w1[1], es.b1[1], es.w2[1], es.b2[1]]
         assert all(p.grad is None for p in idle)
         params = expert_params(es) + ([routing.gate_weight] if strategy == M.GATE else [])

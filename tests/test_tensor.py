@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from moedistill import tensor as T
 from moedistill.tensor import Tensor, ShapeError, NonFiniteError
-from oracles import (composed_attention, composed_ffn, gelu, gelu_grad_whole, gelu_tanh_whole,
-                     one_expert_ffn, scatter_rows)
+from oracles import (composed_attention, composed_ffn, finite_diff_check, gelu, gelu_grad_whole,
+                     gelu_tanh_whole, one_expert_ffn, scatter_rows, tsum)
 
 
 def rand(shape, seed):
@@ -71,13 +71,13 @@ class TestForwardOps:
 class TestBackward:
     def test_sum_grad_is_ones(self):
         x = Tensor(rand((3, 4), 0), requires_grad=True)
-        T.tsum(x).backward()
+        tsum(x).backward()
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_unused_leaf_gets_no_grad(self):
         x = Tensor(rand((2, 2), 0), requires_grad=True)
         p = Tensor(rand((2, 2), 1), requires_grad=True)
-        T.tsum(T.mul(x, x)).backward()
+        tsum(T.mul(x, x)).backward()
         assert p.grad is None  # not on any path to the loss
 
     def test_nonscalar_backward_raises(self):
@@ -87,7 +87,7 @@ class TestBackward:
 
     def test_backward_twice_raises(self):
         x = Tensor(rand((2, 2), 0), requires_grad=True)
-        loss = T.tsum(x)
+        loss = tsum(x)
         loss.backward()
         with pytest.raises(RuntimeError, match="twice"):
             loss.backward()
@@ -109,7 +109,7 @@ class TestBackward:
 
         h = counted(T.tanh(x))
         out = counted(T.layernorm(h, Tensor(np.ones(4)), Tensor(np.zeros(4)), residual=h))
-        T.tsum(T.mul(out, Tensor(rand((3, 4), 1)))).backward()
+        tsum(T.mul(out, Tensor(rand((3, 4), 1)))).backward()
         assert calls == {"tanh": 1, "layernorm": 1}
 
     def test_dropout_node_matches_mul_by_its_mask(self):
@@ -124,7 +124,7 @@ class TestBackward:
                 assert len(out._parents) == 1
             else:
                 out = T.mul(a, Tensor(T._dropout_keep(a.shape, 0.4, rng)))
-            T.tsum(T.mul(out, Tensor(rand((3, 4), 4)))).backward()
+            tsum(T.mul(out, Tensor(rand((3, 4), 4)))).backward()
             results.append((out.data, a.grad))
         for got, want in zip(*results):
             np.testing.assert_array_equal(got, want)
@@ -137,7 +137,7 @@ class TestBackward:
         def f():
             return T.mse(gelu(T.matmul(a, b)), target)
 
-        err = T.finite_diff_check(f, [a, b], n_samples=18)
+        err = finite_diff_check(f, [a, b], n_samples=18)
         assert err <= 1e-6
 
     @pytest.mark.parametrize("seed", range(20))
@@ -157,8 +157,8 @@ class TestBackward:
             kl = T.kl_div(p, T.softmax(target))
             return T.add(T.add(T.mse(h, target), ce), kl)
 
-        err = T.finite_diff_check(f, [x, w, g, b], n_samples=30,
-                                  rng=np.random.default_rng(seed))
+        err = finite_diff_check(f, [x, w, g, b], n_samples=30,
+                                rng=np.random.default_rng(seed))
         assert err <= 1e-5
 
     def test_take_and_scatter_roundtrip_grads(self):
@@ -167,9 +167,9 @@ class TestBackward:
 
         def f():
             picked = T.take(x, idx)
-            return T.tsum(T.mul(scatter_rows(picked, idx, 6), 2.0))
+            return tsum(T.mul(scatter_rows(picked, idx, 6), 2.0))
 
-        err = T.finite_diff_check(f, [x], n_samples=18)
+        err = finite_diff_check(f, [x], n_samples=18)
         assert err <= 1e-8
 
 
@@ -193,7 +193,7 @@ class TestFusedFFN:
         for op in (one_expert_ffn, composed_ffn):
             params = ffn_params(lead, seed=len(lead))
             out = op(*params)
-            T.tsum(T.mul(out, weight)).backward()
+            tsum(T.mul(out, weight)).backward()
             results.append([out.data] + [p.grad for p in params])
         for fused, oracle in zip(*results):
             assert_rel_close(fused, oracle, 1e-12)
@@ -204,10 +204,10 @@ class TestFusedFFN:
         weight = Tensor(rand((2, 3, 4), seed + 100))
 
         def f():
-            return T.tsum(T.mul(one_expert_ffn(*params), weight))
+            return tsum(T.mul(one_expert_ffn(*params), weight))
 
-        err = T.finite_diff_check(f, params, n_samples=40,
-                                  rng=np.random.default_rng(seed))
+        err = finite_diff_check(f, params, n_samples=40,
+                                rng=np.random.default_rng(seed))
         assert err <= 1e-6
 
     def test_no_grad_records_no_parents(self):
@@ -231,7 +231,7 @@ class TestFusedFFN:
         # summed output would lose the tiny tail gradients to cancellation
         x = np.linspace(-12.0, 12.0, 97)
         xt = Tensor(x, requires_grad=True)
-        T.tsum(gelu(xt)).backward()
+        tsum(gelu(xt)).backward()
         step = 1e-6
         numeric = (gelu(Tensor(x + step)).data - gelu(Tensor(x - step)).data) / (2 * step)
         np.testing.assert_allclose(xt.grad, numeric, rtol=1e-6, atol=1e-8)
@@ -271,10 +271,10 @@ class TestMoeFFN:
         params += [scale] if with_scale else []
 
         def f():
-            return T.tsum(T.mul(T.moe_ffn(a, self.ROUTE, *weights, scale=scale), weight))
+            return tsum(T.mul(T.moe_ffn(a, self.ROUTE, *weights, scale=scale), weight))
 
-        err = T.finite_diff_check(f, params, n_samples=60,
-                                  rng=np.random.default_rng(seed))
+        err = finite_diff_check(f, params, n_samples=60,
+                                rng=np.random.default_rng(seed))
         assert err <= 1e-6
         assert all(ws[2].grad is None for ws in weights)  # the idle expert
 
@@ -294,7 +294,7 @@ class TestMoeFFN:
                 out = composed_ffn(a, *(ws[2] for ws in weights))
                 if with_scale:
                     out = T.mul(out, T.reshape(scale, (2, 5, 1)))
-            T.tsum(T.mul(out, weight)).backward()
+            tsum(T.mul(out, weight)).backward()
             results.append([out.data, a.grad] + [ws[2].grad for ws in weights]
                            + ([scale.grad] if with_scale else []))
             if fused:
@@ -413,7 +413,7 @@ class TestMoeFFNBlocks:
             out = T.moe_ffn(a, route, *weights, scale=scale, sink=sink)
         if no_grad:
             return [out.data]
-        T.tsum(T.mul(out, Tensor(rand(out.shape, 5)))).backward()
+        tsum(T.mul(out, Tensor(rand(out.shape, 5)))).backward()
         params = [a] + [w for ws in weights for w in ws] + ([] if scale is None else [scale])
         return [out.data] + [p.grad for p in params] + seen
 
@@ -436,7 +436,7 @@ class TestMoeFFNBlocks:
         for route in (None, np.zeros((4, 90), dtype=np.int64)):
             a = Tensor(rand((4, 90, 8), 2), requires_grad=True)
             out = T.moe_ffn(a, route, *weights)
-            T.tsum(T.mul(out, Tensor(rand(out.shape, 5)))).backward()
+            tsum(T.mul(out, Tensor(rand(out.shape, 5)))).backward()
             results.append([out.data, a.grad] + [ws[0].grad for ws in weights])
             for ws in weights:
                 ws[0].zero_grad()
@@ -483,7 +483,7 @@ class TestAttention:
                 out = T.attention(*params, key_bias(mask), self.HEADS, p, rng)
             else:
                 out = composed_attention(*params, mask, self.HEADS, p, rng)
-            T.tsum(T.mul(out, weight)).backward()
+            tsum(T.mul(out, weight)).backward()
             results.append([out.data] + [t.grad for t in params])
         # softmax ignores a shift shared by all of a query's scores, so bk's
         # exact gradient is 0 and both ops give rounding noise for it: bound
@@ -502,10 +502,10 @@ class TestAttention:
         def f():
             out = T.attention(*params, key_bias(PADDED), self.HEADS, 0.3,
                               np.random.default_rng(seed))
-            return T.tsum(T.mul(out, weight))
+            return tsum(T.mul(out, weight))
 
         checked = params[:4] + params[5:]  # bk's exact gradient is 0 (see above)
-        err = T.finite_diff_check(f, checked, n_samples=40, rng=np.random.default_rng(seed))
+        err = finite_diff_check(f, checked, n_samples=40, rng=np.random.default_rng(seed))
         assert err <= 1e-6
 
     def test_no_grad_keeps_no_parents_or_arrays(self):
@@ -549,7 +549,7 @@ class TestResidualLayernorm:
                     for s in ((2, 5, 8), residual_shape))
             g, b = (Tensor(rng.normal(size=8), requires_grad=True) for _ in range(2))
             out = T.layernorm(x, g, b, residual=r) if fused else T.layernorm(T.add(x, r), g, b)
-            T.tsum(T.mul(out, weight)).backward()
+            tsum(T.mul(out, weight)).backward()
             results.append([out.data] + [t.grad for t in (x, r, g, b)])
         for fused, oracle in zip(*results):
             assert_rel_close(fused, oracle, 1e-12)
@@ -566,7 +566,7 @@ class TestMatmulWeightGrad:
         a = rand(lead + (4,), 1)
         g = rand(lead + (6,), 2)
         w = Tensor(rand((4, 6), 3), requires_grad=True)
-        T.tsum(T.mul(T.matmul(Tensor(a), w), Tensor(g))).backward()
+        tsum(T.mul(T.matmul(Tensor(a), w), Tensor(g))).backward()
         # the batched product it replaces, summed back to the weight's shape
         batched = T._unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), w.shape)
         assert_rel_close(w.grad, batched, 1e-12)
@@ -577,22 +577,22 @@ class TestFiniteDiffCheck:
         x = Tensor(rand((5,) * 2, 0), requires_grad=True)
 
         def f():
-            return T.tsum(T.mul(x, x))
+            return tsum(T.mul(x, x))
 
-        assert T.finite_diff_check(f, [x], n_samples=25) <= 1e-8
+        assert finite_diff_check(f, [x], n_samples=25) <= 1e-8
 
     def test_constant_function(self):
         x = Tensor(rand((3, 3), 1), requires_grad=True)
 
         def f():
-            return T.tsum(T.mul(Tensor(np.ones((3, 3))), 2.0))
+            return tsum(T.mul(Tensor(np.ones((3, 3))), 2.0))
 
-        assert T.finite_diff_check(f, [x], n_samples=9) == 0.0
+        assert finite_diff_check(f, [x], n_samples=9) == 0.0
 
     def test_rejects_nonpositive_step(self):
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError):
-            T.finite_diff_check(lambda: T.tsum(x), [x], step=0.0)
+            finite_diff_check(lambda: tsum(x), [x], step=0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -611,11 +611,11 @@ def test_broadcast_add_grad_matches_fd(seed):
     b = Tensor(rng.normal(size=(4,)), requires_grad=True)
 
     def f():
-        return T.tsum(gelu(T.add(x, b)))
+        return tsum(gelu(T.add(x, b)))
 
     # 1e-6: the stencil's cancellation noise is about 1e-13 of the summed
     # objective, so only sampled coordinates whose GELU derivative is below
     # ~1e-7 (near its zero at -0.75, or cancelling over b's three rows) sit
     # under the noise
-    assert T.finite_diff_check(f, [x, b], n_samples=16,
-                               rng=np.random.default_rng(seed)) <= 1e-6
+    assert finite_diff_check(f, [x, b], n_samples=16,
+                             rng=np.random.default_rng(seed)) <= 1e-6
