@@ -13,11 +13,13 @@ needs its own gradient. Since a_t · w1_j = z_tj - b1_j, one example's term is
     sum over its tokens t of (z_tj - b1_j) · delta_tj + h_tj · u_tj
 
 where z is the pre-GELU activation, h = GELU(z), u = dL/dh and delta = dL/dz.
-Examples do not interact in the encoder and padded rows get exactly zero
-gradient, so one backward pass of the summed cross-entropy over a padded
-batch gives every example's own z, h, u and delta (the per-example gradient
-trick, Goodfellow 2015). ``tensor.moe_ffn`` hands those arrays to a sink set
-on each dense layer's ``ExpertSet`` for the duration of the pass.
+Examples do not interact in the encoder, so one backward pass of the summed
+cross-entropy over a padded batch gives every example's own z, h, u and delta
+(the per-example gradient trick, Goodfellow 2015). ``tensor.moe_ffn`` hands
+those arrays, for real tokens only, to a sink set on each dense layer's
+``ExpertSet`` for the duration of the pass. The rows come example by example,
+each example's tokens in order, so an example's term is the sum over its own
+segment of rows, whose length its mask gives.
 """
 
 from __future__ import annotations
@@ -86,8 +88,9 @@ def accumulate_importance(teacher: EncoderModel, dataset: Dataset) -> Importance
     scores = {l: np.zeros(teacher.cfg.ffn_hidden) for l in range(len(ffns))}
     try:
         for ids, mask, labels in iter_batches(dataset, BATCH_SIZE):
+            lengths = (mask > 0).sum(axis=1)
             for l, ffn in enumerate(ffns):
-                ffn.sink = _example_scores_into(scores[l], ffn.b1[0].data, len(labels))
+                ffn.sink = _example_scores_into(scores[l], ffn.b1[0].data, lengths)
             logits, _ = teacher.forward(ids, mask)
             # the summed loss: each example's gradient is its own, unscaled
             T.mul(T.cross_entropy_logits(logits, labels), float(len(labels))).backward()
@@ -99,11 +102,15 @@ def accumulate_importance(teacher: EncoderModel, dataset: Dataset) -> Importance
     return ImportanceTable(scores, len(dataset))
 
 
-def _example_scores_into(total: np.ndarray, b1: np.ndarray, batch: int):
-    """A ``moe_ffn`` sink adding each example's |term_j| of a padded batch to ``total``."""
+def _example_scores_into(total: np.ndarray, b1: np.ndarray, lengths: np.ndarray):
+    """A ``moe_ffn`` sink adding each example's |term_j| to ``total``; example i
+    owns the next ``lengths[i]`` rows. Each segment sums row by row, in the
+    order of a sum over the padded token axis."""
+    cuts = np.cumsum(lengths)[:-1]
+
     def sink(z, h, u, delta):
         term = (z - b1) * delta
         term += h * u
-        per_example = term.reshape(batch, -1, term.shape[-1]).sum(axis=1)
+        per_example = np.stack([rows.sum(axis=0) for rows in np.split(term, cuts)])
         np.add(total, np.abs(per_example).sum(axis=0), out=total)
     return sink

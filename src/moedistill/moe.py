@@ -9,9 +9,10 @@ of W2), which stays together through the split.
 ``moe_forward`` is the one FFN sublayer; a dense FFN is one expert with no
 routing. Dispatch is grouped and dropless, as in MegaBlocks: each token (by
 its id, or by its sentence's gate argmax) goes into one ``tensor.moe_ffn``
-node, which sorts the rows by expert once, runs each expert's GEMMs on its
-contiguous slice and un-permutes once (or neither, when one expert takes
-every row); no token is dropped.
+node, which sorts the real rows by expert once, runs each expert's GEMMs on
+its contiguous slice and scatters back once (or neither, when one expert takes
+every row of an input with no padding); no token is dropped. Padded positions
+cost no FFN work: their output is 0.
 """
 
 from __future__ import annotations
@@ -167,25 +168,29 @@ def routing_loads(table: np.ndarray, freqs: np.ndarray, num_experts: int) -> np.
 
 
 def moe_forward(attn_out: Tensor, experts: ExpertSet, routing: RoutingTable | None,
-                token_ids: np.ndarray, mask: np.ndarray) -> Tensor:
+                token_ids: np.ndarray, mask: np.ndarray | None) -> Tensor:
     """FFN sublayer output (pre-residual) for one layer, as one ``moe_ffn`` node.
 
     Without routing (a dense layer) every token goes to expert 0. Hash
     strategies route each token by its id with weight 1; the gate routes
     whole sentences to their argmax expert, scaling the output by the selected
     probability so the gate weight receives gradient (through that entry only).
+    Positions whose ``mask`` is 0 are padding: ``moe_ffn`` skips them and
+    outputs 0 there. A ``mask`` of None means no position is padding, and a
+    dense layer then runs on the rows as they lie, with no gather.
     """
     weights = (experts.w1, experts.b1, experts.w2, experts.b2)
     if routing is None:
-        return moe_ffn(attn_out, None, *weights, sink=experts.sink)
+        return moe_ffn(attn_out, None, *weights, sink=experts.sink, mask=mask)
     if routing.strategy != GATE:
         if token_ids.max(initial=0) >= len(routing.table):
             raise MoEError("token id outside the routing table")
-        return moe_ffn(attn_out, routing.table[token_ids], *weights)
+        return moe_ffn(attn_out, routing.table[token_ids], *weights, mask=mask)
     batch, seq, _ = attn_out.shape
-    probs = softmax(matmul(masked_mean_rows(attn_out, mask), routing.gate_weight))
+    mean_mask = np.ones((batch, seq)) if mask is None else mask
+    probs = softmax(matmul(masked_mean_rows(attn_out, mean_mask), routing.gate_weight))
     sel = np.argmax(probs.data, axis=1)  # ties -> lowest expert id
     route = np.repeat(sel, seq).reshape(batch, seq)
     # every token of sentence b is scaled by probs[b, sel[b]], its one gradient path
     scale = take(reshape(probs, (-1,)), route + (np.arange(batch) * experts.num_experts)[:, None])
-    return moe_ffn(attn_out, route, *weights, scale=scale)
+    return moe_ffn(attn_out, route, *weights, scale=scale, mask=mask)

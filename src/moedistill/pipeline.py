@@ -133,6 +133,8 @@ def prepare_data(cfg: RunConfig) -> PreparedData:
             if not pairs:
                 raise DataError(f"{spec[split + '_tsv']}: the {split} split has no examples")
         corpus = [t for t, _ in train_pairs]
+        if not any(t.split() for t in corpus):  # the vocabulary is built from these tokens
+            raise DataError(f"{spec['train_tsv']}: the train split has no tokens")
         labels = {y for _, y in train_pairs}
         for _, y in eval_pairs:
             if y not in labels:
@@ -188,8 +190,10 @@ def adapt_model(teacher: EncoderModel, table: ImportanceTable, moe: MoEConfig,
 def bench_inference(model: EncoderModel, dataset: Dataset, repeats: int = 5) -> dict:
     """Examples/second at batch size 1 plus the analytic cost numbers.
 
-    Timing is the median over ``repeats`` passes after two warm-up passes;
-    every example is padded to the model's ``max_seq_len``.
+    Timing is the median over ``repeats`` passes after two warm-up passes.
+    Every example is padded to the model's ``max_seq_len``, and the forward
+    trims that trailing padding, so each example runs at its real length;
+    ``seq_len`` and the cost numbers stay at ``max_seq_len``.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")

@@ -314,23 +314,51 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return g
 
 
-def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None) -> Tensor:
+def _gemm(x: np.ndarray, w: np.ndarray, out: np.ndarray, lone: bool):
+    """``out[:] = x @ w``; with ``lone``, the one row of ``x`` runs as two. OpenBLAS
+    computes a one-row product (gemv) in another order than a row of a taller
+    one, so a row that the padded layout multiplies beside padding keeps its bits."""
+    if lone:
+        out[:] = (x[[0, 0]] @ w)[:1]
+    else:
+        np.matmul(x, w, out=out)
+
+
+def _unsort(x: np.ndarray, order, n: int) -> np.ndarray:
+    """The rows of ``x``, in ``moe_ffn``'s row order, back at their input positions
+    among ``n`` rows; rows that ``order`` leaves out are 0."""
+    if isinstance(order, slice):
+        return x
+    out = np.zeros((n,) + x.shape[1:])
+    out[order] = x
+    return out
+
+
+def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None, mask=None) -> Tensor:
     """``y[r] = scale[r] · FFN_{route[r]}(a[r])`` over the rows of ``a`` (..., d), as one graph node.
 
     ``FFN_e(x) = GELU(x·W1_e + b1_e)·W2_e + b2_e`` with ``w1s[e]`` (d × k),
     ..., ``b2s[e]``; every expert has width k. ``route`` (shape ``a.shape[:-1]``,
-    like ``scale``) picks each row's expert; None puts every row on expert 0,
-    as a dense FFN does, with no route array to count. One stable argsort
-    groups the rows by expert (skipped, with both gathers, when one expert
-    takes every row); each expert runs its GEMMs on its contiguous slice, and
-    one inverse permutation restores row order. GELU and its gradient walk the
-    (rows × k) hidden buffer in blocks of ``_BLOCK`` elements that stay in
-    cache, and make no full-size temporary: without a graph, GELU overwrites
-    its input. No row is dropped. An expert that no row reaches gets no
-    gradient (its grad stays None).
+    like ``scale`` and ``mask``) picks each row's expert; None puts every row on
+    expert 0, as a dense FFN does, with no route array to count. A row whose
+    ``mask`` is 0 is padding: it is not computed, its output and input gradient
+    are exactly 0, and it adds nothing to a weight gradient. The real rows of
+    the output equal those of the same call without ``mask`` bit for bit where
+    a GEMM row does not depend on the row count. With one OpenBLAS thread that
+    holds at the README and serve shapes, but not for every shape: a
+    one-column product runs as a gemv, and small products take other kernels.
+
+    One list of row indices, ``order``, takes the real rows grouped by expert
+    (one stable argsort; neither it nor a gather runs when one expert takes
+    every row and there is no ``mask``). Each expert runs its GEMMs on its
+    contiguous slice, and the output scatters back through ``order``. GELU and
+    its gradient walk the (rows × k) hidden buffer in blocks of ``_BLOCK``
+    elements that stay in cache, and make no full-size temporary: without a
+    graph, GELU overwrites its input. No real row is dropped. An expert that no
+    real row reaches gets no gradient (its grad stays None).
 
     ``sink``, if given, is called once per backward as ``sink(z, h, u, delta)``
-    with each row's pre-GELU ``z``, ``h = GELU(z)``, ``u = dL/dh`` and
+    with each real row's pre-GELU ``z``, ``h = GELU(z)``, ``u = dL/dh`` and
     ``delta = dL/dz`` (all rows × k, rows in expert order, which is input order
     for one expert); the arrays are only valid during the call.
     """
@@ -338,49 +366,56 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None) -> Tensor:
     experts = list(zip(w1s, b1s, w2s, b2s))
     lead = a.data.shape[:-1]
     route = None if route is None else np.asarray(route)
+    mask = None if mask is None else np.asarray(mask)
     d, k, d_out = a.data.shape[-1], w2s[0].data.shape[0], w2s[0].data.shape[-1]
     want = ((d, k), (k,), (k, d_out), (d_out,))
     if ((route is not None and route.shape != lead) or (scale is not None and scale.shape != lead)
+            or (mask is not None and mask.shape != lead)
             or any((w1.data.shape, b1.data.shape, w2.data.shape, b2.data.shape) != want
                    for w1, b1, w2, b2 in experts)):
         raise ShapeError("moe_ffn", a.shape, lead if route is None else route.shape,
                          *(x.shape for ws in experts for x in ws))
     n = math.prod(lead)
+    rows = slice(None) if mask is None else np.flatnonzero(mask.reshape(-1) > 0)  # the real rows
+    # spans: (expert, first row, end row, one row that padding kept company: see _gemm)
     if route is None:
-        spans = [(0, 0, n)]
+        m = n if mask is None else rows.size
+        spans = [(0, 0, m, m == 1 < n)] if m else []
     else:
         flat = route.reshape(-1)
-        counts = np.bincount(flat, minlength=len(experts)).tolist()  # rejects a negative route
-        if len(counts) > len(experts):
+        total = np.bincount(flat, minlength=len(experts)).tolist()  # rejects a negative route
+        if len(total) > len(experts):
             raise ValueError(f"moe_ffn: route outside [0, {len(experts)})")
+        counts = total if mask is None else np.bincount(flat[rows], minlength=len(experts)).tolist()
         ends = itertools.accumulate(counts)
-        spans = [(e, end - c, end) for e, (c, end) in enumerate(zip(counts, ends)) if c]
+        spans = [(e, end - c, end, c == 1 < total[e])
+                 for e, (c, end) in enumerate(zip(counts, ends)) if c]
     if len(spans) > 1:
-        order = np.argsort(flat, kind="stable")
-        inv = np.argsort(order)  # row r of the input sits at inv[r] in expert order
-    else:  # one expert takes every row: the rows are already in expert order
-        order = inv = slice(None)
+        order = np.argsort(flat[rows], kind="stable")
+        order = order if mask is None else rows[order]
+    else:  # one expert takes every real row: they are in expert order already
+        order = rows
     xs = a.data.reshape(-1, d)[order]
     params = [a] + [x for ws in experts for x in ws] + ([] if scale is None else [scale])
-    z = np.empty((n, k))
-    for e, lo, hi in spans:
-        np.matmul(xs[lo:hi], w1s[e].data, out=z[lo:hi])
+    z = np.empty((len(xs), k))
+    for e, lo, hi, lone in spans:
+        _gemm(xs[lo:hi], w1s[e].data, z[lo:hi], lone)
         z[lo:hi] += b1s[e].data
     h, t = _gelu_tanh(z, keep_t=True) if _records(params) else (_gelu_into(z, z), None)
-    ys = np.empty((n, d_out))
-    for e, lo, hi in spans:
-        np.matmul(h[lo:hi], w2s[e].data, out=ys[lo:hi])
+    ys = np.empty((len(xs), d_out))
+    for e, lo, hi, lone in spans:
+        _gemm(h[lo:hi], w2s[e].data, ys[lo:hi], lone)
         ys[lo:hi] += b2s[e].data
     if scale is not None:
         s = scale.data.reshape(-1)[order, None]
         unscaled, ys = ys, ys * s
-    out = ys[inv].reshape(lead + (d_out,))
+    out = _unsort(ys, order, n).reshape(lead + (d_out,))
 
     def grads(g):
         gs = g.reshape(-1, d_out)[order]
         gy = gs if scale is None else gs * s
         dz = np.empty_like(z)
-        for e, lo, hi in spans:
+        for e, lo, hi, _ in spans:
             np.matmul(gy[lo:hi], w2s[e].data.T, out=dz[lo:hi])
         delta = dz if sink is None else np.empty_like(dz)  # the sink sees dz and delta
         for zb, tb, ub, db in _blocks(z, t, dz, delta):
@@ -389,13 +424,13 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None) -> Tensor:
             sink(z, h, dz, delta)
         gx = np.empty_like(xs)
         pgs = [None] * len(params)  # an idle expert keeps None, so the optimizer skips it
-        for e, lo, hi in spans:
+        for e, lo, hi, _ in spans:
             np.matmul(delta[lo:hi], w1s[e].data.T, out=gx[lo:hi])
             pgs[1 + 4 * e:5 + 4 * e] = [xs[lo:hi].T @ delta[lo:hi], delta[lo:hi].sum(axis=0),
                                         h[lo:hi].T @ gy[lo:hi], gy[lo:hi].sum(axis=0)]
-        pgs[0] = gx[inv].reshape(a.shape)
+        pgs[0] = _unsort(gx, order, n).reshape(a.shape)
         if scale is not None:
-            pgs[-1] = (gs * unscaled).sum(axis=1)[inv].reshape(lead)
+            pgs[-1] = _unsort((gs * unscaled).sum(axis=1), order, n).reshape(lead)
         return pgs
 
     return _make("moe_ffn", out, params, grads)

@@ -2,6 +2,7 @@
 the dense FFN as the tests call it, the gradient and importance checks, and
 helpers only the tests use."""
 
+import itertools
 import math
 
 import numpy as np
@@ -201,6 +202,82 @@ def one_expert_ffn(a, w1, b1, w2, b2) -> T.Tensor:
 def composed_ffn(a, w1, b1, w2, b2) -> T.Tensor:
     """The two-layer FFN as its five-op chain; the oracle for the fused ``moe_ffn``."""
     return T.add(T.matmul(gelu(T.add(T.matmul(a, w1), b1)), w2), b2)
+
+
+def moe_ffn_padded(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None) -> T.Tensor:
+    """``tensor.moe_ffn`` as it was before it took a mask; the padded-path oracle
+    for its real rows. Every row, padded or not, is computed; one stable argsort
+    groups the rows by expert, and an inverse argsort restores row order. The
+    sink sees every row, in expert order."""
+    a, scale = T.as_tensor(a), (None if scale is None else T.as_tensor(scale))
+    experts = list(zip(w1s, b1s, w2s, b2s))
+    lead = a.data.shape[:-1]
+    route = None if route is None else np.asarray(route)
+    d, k, d_out = a.data.shape[-1], w2s[0].data.shape[0], w2s[0].data.shape[-1]
+    want = ((d, k), (k,), (k, d_out), (d_out,))
+    if ((route is not None and route.shape != lead) or (scale is not None and scale.shape != lead)
+            or any((w1.data.shape, b1.data.shape, w2.data.shape, b2.data.shape) != want
+                   for w1, b1, w2, b2 in experts)):
+        raise T.ShapeError("moe_ffn", a.shape, lead if route is None else route.shape,
+                         *(x.shape for ws in experts for x in ws))
+    n = math.prod(lead)
+    if route is None:
+        spans = [(0, 0, n)]
+    else:
+        flat = route.reshape(-1)
+        counts = np.bincount(flat, minlength=len(experts)).tolist()  # rejects a negative route
+        if len(counts) > len(experts):
+            raise ValueError(f"moe_ffn: route outside [0, {len(experts)})")
+        ends = itertools.accumulate(counts)
+        spans = [(e, end - c, end) for e, (c, end) in enumerate(zip(counts, ends)) if c]
+    if len(spans) > 1:
+        order = np.argsort(flat, kind="stable")
+        inv = np.argsort(order)  # row r of the input sits at inv[r] in expert order
+    else:  # one expert takes every row: the rows are already in expert order
+        order = inv = slice(None)
+    xs = a.data.reshape(-1, d)[order]
+    params = [a] + [x for ws in experts for x in ws] + ([] if scale is None else [scale])
+    z = np.empty((n, k))
+    for e, lo, hi in spans:
+        np.matmul(xs[lo:hi], w1s[e].data, out=z[lo:hi])
+        z[lo:hi] += b1s[e].data
+    h, t = T._gelu_tanh(z, keep_t=True) if T._records(params) else (T._gelu_into(z, z), None)
+    ys = np.empty((n, d_out))
+    for e, lo, hi in spans:
+        np.matmul(h[lo:hi], w2s[e].data, out=ys[lo:hi])
+        ys[lo:hi] += b2s[e].data
+    if scale is not None:
+        s = scale.data.reshape(-1)[order, None]
+        unscaled, ys = ys, ys * s
+    out = ys[inv].reshape(lead + (d_out,))
+
+    def grads(g):
+        gs = g.reshape(-1, d_out)[order]
+        gy = gs if scale is None else gs * s
+        dz = np.empty_like(z)
+        for e, lo, hi in spans:
+            np.matmul(gy[lo:hi], w2s[e].data.T, out=dz[lo:hi])
+        delta = dz if sink is None else np.empty_like(dz)  # the sink sees dz and delta
+        for zb, tb, ub, db in T._blocks(z, t, dz, delta):
+            np.multiply(ub, T._gelu_grad(zb, tb), out=db)
+        if sink is not None:
+            sink(z, h, dz, delta)
+        gx = np.empty_like(xs)
+        pgs = [None] * len(params)  # an idle expert keeps None, so the optimizer skips it
+        for e, lo, hi in spans:
+            np.matmul(delta[lo:hi], w1s[e].data.T, out=gx[lo:hi])
+            pgs[1 + 4 * e:5 + 4 * e] = [xs[lo:hi].T @ delta[lo:hi], delta[lo:hi].sum(axis=0),
+                                        h[lo:hi].T @ gy[lo:hi], gy[lo:hi].sum(axis=0)]
+        pgs[0] = gx[inv].reshape(a.shape)
+        if scale is not None:
+            pgs[-1] = (gs * unscaled).sum(axis=1)[inv].reshape(lead)
+        return pgs
+
+    return T._make("moe_ffn", out, params, grads)
+
+
+# -- reductions and reshaping ----------------------------------------------
+
 
 
 def moe_forward_per_expert(attn_out, experts, routing, token_ids, mask) -> T.Tensor:

@@ -77,7 +77,7 @@ class TestErrors:
     @pytest.mark.parametrize("command", ["train-teacher", "pipeline"])
     @pytest.mark.parametrize("split,has_header,text", [
         ("eval", False, ""), ("eval", False, "\n\n"), ("eval", True, "text\tlabel\n"),
-        ("train", False, "")])
+        ("train", False, ""), ("train", False, "\t1\n\t0\n")])
     def test_empty_tsv_split(self, tmp_path, capsys, command, split, has_header, text):
         header = "text\tlabel\n" if has_header else ""
         data = {"has_header": has_header}
@@ -91,7 +91,9 @@ class TestErrors:
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert err["error"] == "DataError"
-        assert err["message"] == f"{data[split + '_tsv']}: the {split} split has no examples"
+        # lines whose texts are all empty are examples, but give the vocabulary no token
+        missing = "tokens" if text.startswith("\t") else "examples"
+        assert err["message"] == f"{data[split + '_tsv']}: the {split} split has no {missing}"
 
     def test_nonfinite_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path, teacher_train={"epochs": 1, "batch_size": 16,

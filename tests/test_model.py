@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from moedistill import moe as M
 from moedistill import tensor as T
 from moedistill.checkpoint import load_checkpoint, read_header, save_checkpoint
-from moedistill.data import Dataset, Example
+from moedistill.data import (Dataset, Example, build_vocab, encode_dataset, gen_synthetic_task,
+                             pad_batch)
 from moedistill.importance import ImportanceTable
 from moedistill.model import EncoderModel, ModelConfig, MoEConfig, cost
 from moedistill.pipeline import adapt_model, bench_inference
 from moedistill.tensor import Tensor, ShapeError, NonFiniteError
-from oracles import count_total_params, one_expert_ffn
+from oracles import count_total_params, moe_ffn_padded, one_expert_ffn
 
 
 def small_cfg(**kw):
@@ -390,3 +392,100 @@ def test_nan_in_value_weights_is_named_by_the_attention_scope(kind, monkeypatch)
     model.layers[0].wv.data.fill(np.nan)
     with np.errstate(all="ignore"):
         assert _forward_raises(model, True, False, monkeypatch) == "layer0.attn"
+
+
+# -- padding: the FFN skips padded positions, the forward trims padded columns
+
+def _readme_models_and_examples():
+    """A dense teacher at the README shape, its hash_balanced and gate students,
+    and the README task's eval sentences (9 to 17 tokens)."""
+    task = gen_synthetic_task(0, n_examples=480, n_classes=4, vocab_size=150)
+    vocab = build_vocab(task.corpus)
+    cfg = ModelConfig(vocab_size=vocab.size, embed_dim=32, ffn_hidden=64, num_layers=2,
+                      num_heads=4, max_seq_len=24, num_labels=4, dropout=0.0)
+    teacher = EncoderModel(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    table = ImportanceTable({l: rng.random(64) for l in range(2)}, 1)
+    models = {"dense": teacher}
+    for routing in ("hash_balanced", "gate"):
+        models[routing] = adapt_model(teacher, table, MoEConfig(4, 16, 8, routing),
+                                      vocab.freqs, seed=1)
+    return models, encode_dataset(task.eval, vocab, 24, 4).examples
+
+
+def _loss_and_grads(model, ids, mask, labels):
+    model.zero_grads()
+    logits, outs = model.forward(ids, mask)
+    T.cross_entropy_logits(logits, labels).backward()
+    return logits.data, [h.data for h in outs.hidden], [p.grad for p in model.parameters()]
+
+
+class TestPadding:
+    @pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
+    def test_real_positions_match_the_padded_path(self, kind, monkeypatch):
+        """A padded batch of 32: logits and every real position's hidden states
+        equal those of the FFN that computes padded rows too; parameter gradients
+        agree within 1e-12."""
+        models, examples = _readme_models_and_examples()
+        ids, mask, labels = pad_batch(examples[:32])
+        real = mask > 0
+        assert not real.all() and real[:, -1].any()  # padded, with nothing to trim
+        logits, hidden, grads = _loss_and_grads(models[kind], ids, mask, labels)
+        monkeypatch.setattr(M, "moe_ffn", lambda *args, mask=None, **kw: moe_ffn_padded(*args, **kw))
+        ref_logits, ref_hidden, ref_grads = _loss_and_grads(models[kind], ids, mask, labels)
+        assert np.array_equal(logits, ref_logits)
+        for h, ref in zip(hidden, ref_hidden):
+            assert np.array_equal(h[real], ref[real])
+        for g, ref in zip(grads, ref_grads):
+            if g is None:  # an expert only padded positions reached
+                assert ref is None or not ref.any()
+            else:
+                assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
+    def test_trailing_padding_columns_are_trimmed(self, kind):
+        models, examples = _readme_models_and_examples()
+        ids, mask, _ = pad_batch(examples[:5])
+        width = ids.shape[1]
+        wide_ids, wide_mask = np.zeros((5, 24), dtype=np.int64), np.zeros((5, 24))
+        wide_ids[:, :width], wide_mask[:, :width] = ids, mask
+        with T.no_grad():
+            logits, outs = models[kind].forward(ids, mask)
+            wide_logits, wide_outs = models[kind].forward(wide_ids, wide_mask)
+        assert np.array_equal(logits.data, wide_logits.data)
+        assert np.array_equal(wide_outs.mask, mask)
+        for h, wide in zip(outs.hidden, wide_outs.hidden):
+            assert wide.shape == (5, width, 32) and np.array_equal(h.data, wide.data)
+
+    @pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
+    def test_ffn_gets_a_mask_only_while_padding_remains(self, kind, monkeypatch):
+        models, examples = _readme_models_and_examples()
+        seen = []
+
+        def recording(*args, mask=None, **kw):
+            seen.append(mask)
+            return T.moe_ffn(*args, mask=mask, **kw)
+
+        monkeypatch.setattr(M, "moe_ffn", recording)
+        one = examples[0].ids
+        cases = [(one[None], np.ones((1, len(one))), False),
+                 # batch 1 padded to a wider input: the trim leaves no padding
+                 (np.r_[one, 0, 0][None], np.r_[np.ones(len(one)), 0, 0][None], False),
+                 (*pad_batch(examples[:3])[:2], False),  # three sentences of 14 tokens
+                 (*pad_batch(examples[2:5])[:2], True)]  # 14, 17 and 17 tokens
+        for ids, mask, padded in cases:
+            seen.clear()
+            with T.no_grad():
+                models[kind].forward(ids, mask)
+            assert len(seen) == 2
+            assert all((m is not None) == padded for m in seen)
+
+    @pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
+    @pytest.mark.parametrize("mask", [[[1, 1, 1], [0, 0, 0]], [[0, 0, 0]], np.zeros((2, 0))],
+                             ids=["second-row", "only-row", "no-columns"])
+    def test_a_row_with_no_real_position_raises(self, kind, mask):
+        mask = np.asarray(mask, dtype=np.float64)
+        ids = np.full(mask.shape, 2, dtype=np.int64)
+        with pytest.raises(ShapeError) as exc:
+            _tiny_models()[kind].forward(ids, mask)
+        assert exc.value.op == "encoder_forward"

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moedistill import moe as M
 from moedistill import tensor as T
 from moedistill.distill import Adam
 from moedistill.tensor import Tensor
-from oracles import (discarded_columns, finite_diff_check, moe_forward_per_expert,
-                     shared_columns, tsum)
+from oracles import (discarded_columns, finite_diff_check, moe_ffn_padded,
+                     moe_forward_per_expert, shared_columns, tsum)
 
 
 def make_ffn(d, d_h, seed=0):
@@ -293,7 +294,8 @@ class TestGroupedDispatch:
         if gate is not None:
             gate.zero_grad()
         out = forward(x, es, routing, ids, mask)
-        weight = np.random.default_rng(3).normal(size=out.shape)
+        # padded positions get no gradient from above, as in the encoder
+        weight = np.random.default_rng(3).normal(size=out.shape) * mask[:, :, None]
         tsum(T.mul(out, Tensor(weight))).backward()
         grads = [x.grad] + [p.grad for p in expert_params(es)]
         return out.data, grads + ([gate.grad] if gate is not None else [])
@@ -306,11 +308,15 @@ class TestGroupedDispatch:
         es, routing, a, ids, mask = self._setup(strategy, batch, idle)
         out, grads = self._run(M.moe_forward, es, routing, a, ids, mask)
         ref_out, ref_grads = self._run(moe_forward_per_expert, es, routing, a, ids, mask)
-        assert_rel_close(out, ref_out, 1e-12)
+        real = mask > 0  # the oracle computes padded rows too; moe_forward leaves them 0
+        assert_rel_close(out[real], ref_out[real], 1e-12)
+        assert (out[~real] == 0).all()
         assert len(grads) == len(ref_grads)
         for g, ref in zip(grads, ref_grads):
-            assert (g is None) == (ref is None)
-            if ref is not None:
+            # an expert that only padded rows reach gets a zero gradient from the
+            # oracle, and none from moe_forward, so the optimizer skips it
+            assert (g is None) == (ref is None or not ref.any())
+            if g is not None:
                 assert_rel_close(g, ref, 1e-12)
         if idle:
             assert all(p.grad is None for p in (es.w1[1], es.b1[1], es.w2[1], es.b2[1]))
@@ -350,3 +356,67 @@ class TestGroupedDispatch:
             assert moved == (not any(p is q for q in idle))
             if any(p is q for q in idle):
                 assert not opt.m[i].any() and not opt.v[i].any()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["dense", "hash", "gate"]))
+def test_moe_ffn_skips_padding_and_matches_padded_path(data, kind):
+    """Over batch compositions and padding lengths: real rows of the output are
+    bit-identical to the padded path (``tests/oracles.moe_ffn_padded``); padded
+    rows are exactly 0 in the output and the input gradient; the input gradient's
+    real rows, the sink's arrays and the weight gradients agree within 1e-12.
+
+    Bit identity rests on a GEMM row not depending on the row count. With one
+    OpenBLAS thread that was measured for every product up to 13 × 13 at least
+    two columns wide; a one-column product runs as a gemv, whose rows move with
+    the row count. So both widths, d and k, start at 2. Backward products take
+    a transposed operand, for which the rows of some larger shapes move."""
+    batch, seq = data.draw(st.integers(1, 5), label="batch"), data.draw(st.integers(1, 7))
+    lengths = np.asarray(data.draw(st.lists(st.integers(1, seq), min_size=batch,
+                                            max_size=batch), label="lengths"))
+    d, k = data.draw(st.integers(2, 9), label="d"), data.draw(st.integers(2, 12), label="k")
+    n = 1 if kind == "dense" else data.draw(st.integers(2, 4), label="experts")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    mask = (np.arange(seq) < lengths[:, None]).astype(float)
+    real = mask > 0
+    experts = [[Tensor(rng.normal(size=shape), requires_grad=True)
+                for shape in ((d, k), (k,), (k, d), (d,))] for _ in range(n)]
+    route = scale = None
+    if kind == "hash":  # padded rows carry routes too, as PAD tokens do
+        route = rng.integers(0, n, size=(batch, seq))
+    elif kind == "gate":  # whole sentences, each scaled by its own probability
+        route = np.repeat(rng.integers(0, n, size=batch), seq).reshape(batch, seq)
+        scale = np.repeat(rng.uniform(0.2, 1.0, size=batch), seq).reshape(batch, seq)
+    a = rng.normal(size=(batch, seq, d))
+    weight = rng.normal(size=(batch, seq, d)) * mask[:, :, None]  # padding gets none from above
+
+    def run(ffn, **kw):
+        """Output, sink arrays and gradients (input, each expert's four, scale)."""
+        x = Tensor(a, requires_grad=True)
+        s = None if scale is None else Tensor(scale, requires_grad=True)
+        params = [x] + [p for ws in experts for p in ws] + ([] if s is None else [s])
+        for p in params:
+            p.zero_grad()
+        seen = []
+        out = ffn(x, route, *zip(*experts), scale=s,
+                  sink=lambda *arrays: seen.append([v.copy() for v in arrays]), **kw)
+        tsum(T.mul(out, Tensor(weight))).backward()
+        return out.data, seen[0], [p.grad for p in params]
+
+    out, seen, grads = run(T.moe_ffn, mask=mask)
+    ref_out, ref_seen, ref_grads = run(moe_ffn_padded)
+    assert np.array_equal(out[real], ref_out[real]) and not out[~real].any()
+    assert_rel_close(grads[0][real], ref_grads[0][real], 1e-12)
+    assert not grads[0][~real].any()
+    # the padded path's sink rows in expert order (a stable sort), real ones kept
+    order = np.argsort(np.zeros(real.size) if route is None else route.reshape(-1),
+                       kind="stable")
+    for x, ref in zip(seen, ref_seen):
+        assert_rel_close(x, ref[real.reshape(-1)[order]], 1e-12)
+    if scale is not None:
+        assert np.array_equal(grads[-1], ref_grads[-1])
+    for g, ref in zip(grads[1:1 + 4 * n], ref_grads[1:1 + 4 * n]):
+        if g is None:  # no real row reached this expert
+            assert ref is None or not ref.any()
+        else:
+            assert_rel_close(g, ref, 1e-12)
