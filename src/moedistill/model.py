@@ -140,12 +140,11 @@ class EncoderLayer:
             named[prefix + "gate_w"] = self.routing.gate_weight
         return named
 
-    def forward(self, x: Tensor, bias: np.ndarray, mask: np.ndarray | None,
-                token_ids: np.ndarray, dropout_p: float,
-                rng: np.random.Generator | None) -> Tensor:
+    def forward(self, x: Tensor, bias: np.ndarray, mask: np.ndarray, token_ids: np.ndarray,
+                dropout_p: float, rng: np.random.Generator | None) -> Tensor:
         """Four graph nodes: attention, layernorm, moe_ffn, layernorm. ``bias``
         is the attention's key-mask bias (see ``tensor.attention``); the FFN
-        skips positions whose ``mask`` is 0, and ``mask`` is None when none is."""
+        skips positions whose ``mask`` is 0."""
         attn = T.attention(x, self.wq, self.bq, self.wk, self.bk, self.wv, self.bv,
                            self.wo, self.bo, bias, self.num_heads, dropout_p, rng)
         # post-LN turns any NaN or Inf in a row into NaN across the row, so
@@ -215,14 +214,12 @@ class EncoderModel:
             raise ShapeError("encoder_forward", (batch, seq), (self.cfg.max_seq_len,))
         if token_ids.min(initial=0) < 0 or token_ids.max(initial=0) >= self.cfg.vocab_size:
             raise ValueError("token id outside the vocabulary")
-        ffn_mask = None  # while no position is padding, the FFN runs on every row
-        if seq == 0 or np.count_nonzero(mask) < mask.size:  # the one test unpadded input pays
+        if seq == 0 or np.count_nonzero(mask) < mask.size:  # some position is padding
             real = mask > 0
             if not real.any(axis=1).all():
                 raise ShapeError("encoder_forward", mask.shape)  # a row with nothing to read
             seq = int(np.flatnonzero(real.any(axis=0))[-1]) + 1
             token_ids, mask = token_ids[:, :seq], mask[:, :seq]
-            ffn_mask = None if real[:, :seq].all() else mask
         p = self.cfg.dropout
 
         x = T.layernorm(T.take(self.tok_emb, token_ids), self.emb_ln_g, self.emb_ln_b,
@@ -231,7 +228,7 @@ class EncoderModel:
         hidden = [x]
         bias = np.where(mask[:, None, None, :] > 0, 0.0, -1e9)  # padded keys get no attention
         for layer in self.layers:
-            x = layer.forward(x, bias, ffn_mask, token_ids, p, rng)
+            x = layer.forward(x, bias, mask, token_ids, p, rng)
             hidden.append(x)
 
         cls_vec = T.reshape(T.take(x, np.asarray([0]), axis=1), (batch, self.cfg.embed_dim))

@@ -168,7 +168,7 @@ def routing_loads(table: np.ndarray, freqs: np.ndarray, num_experts: int) -> np.
 
 
 def moe_forward(attn_out: Tensor, experts: ExpertSet, routing: RoutingTable | None,
-                token_ids: np.ndarray, mask: np.ndarray | None) -> Tensor:
+                token_ids: np.ndarray, mask: np.ndarray) -> Tensor:
     """FFN sublayer output (pre-residual) for one layer, as one ``moe_ffn`` node.
 
     Without routing (a dense layer) every token goes to expert 0. Hash
@@ -176,8 +176,7 @@ def moe_forward(attn_out: Tensor, experts: ExpertSet, routing: RoutingTable | No
     whole sentences to their argmax expert, scaling the output by the selected
     probability so the gate weight receives gradient (through that entry only).
     Positions whose ``mask`` is 0 are padding: ``moe_ffn`` skips them and
-    outputs 0 there. A ``mask`` of None means no position is padding, and a
-    dense layer then runs on the rows as they lie, with no gather.
+    outputs 0 there.
     """
     weights = (experts.w1, experts.b1, experts.w2, experts.b2)
     if routing is None:
@@ -187,8 +186,7 @@ def moe_forward(attn_out: Tensor, experts: ExpertSet, routing: RoutingTable | No
             raise MoEError("token id outside the routing table")
         return moe_ffn(attn_out, routing.table[token_ids], *weights, mask=mask)
     batch, seq, _ = attn_out.shape
-    mean_mask = np.ones((batch, seq)) if mask is None else mask
-    probs = softmax(matmul(masked_mean_rows(attn_out, mean_mask), routing.gate_weight))
+    probs = softmax(matmul(masked_mean_rows(attn_out, mask), routing.gate_weight))
     sel = np.argmax(probs.data, axis=1)  # ties -> lowest expert id
     route = np.repeat(sel, seq).reshape(batch, seq)
     # every token of sentence b is scaled by probs[b, sel[b]], its one gradient path

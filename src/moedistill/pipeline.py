@@ -187,16 +187,26 @@ def adapt_model(teacher: EncoderModel, table: ImportanceTable, moe: MoEConfig,
     return student
 
 
+# A timed pass lasts at least this long. Longer passes average out more of a
+# shared machine's noise, but the README pipeline's bench stage times ten.
+MIN_PASS_SECONDS = 0.02
+
+
 def bench_inference(model: EncoderModel, dataset: Dataset, repeats: int = 5) -> dict:
     """Examples/second at batch size 1 plus the analytic cost numbers.
 
-    Timing is the median over ``repeats`` passes after two warm-up passes.
-    Every example is padded to the model's ``max_seq_len``, and the forward
-    trims that trailing padding, so each example runs at its real length;
+    A pass runs the examples once, or as many times over as it takes to last
+    ``MIN_PASS_SECONDS``, so that a short list is not timed inside one burst of
+    scheduler noise. Timing is the median over ``repeats`` passes after one
+    warm-up run; ``median_seconds`` is for one run over the examples. Every
+    example is padded to the model's ``max_seq_len``, and the forward trims
+    that trailing padding, so each example runs at its real length;
     ``seq_len`` and the cost numbers stay at ``max_seq_len``.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    if not dataset.examples:
+        raise ValueError("no examples to time")
     seq_len = model.cfg.max_seq_len
     batches = []
     for ex in dataset.examples:
@@ -207,16 +217,20 @@ def bench_inference(model: EncoderModel, dataset: Dataset, repeats: int = 5) -> 
         mask[0, :n] = 1.0  # by length: a literal "<pad>" token is id 0 too
         batches.append((ids, mask))
 
-    def one_pass() -> float:
-        start = time.perf_counter()
+    def one_pass(min_seconds: float) -> float:
+        """Seconds for one run over the examples."""
+        runs, start = 0, time.perf_counter()
         with T.no_grad():
-            for ids, mask in batches:
-                model.forward(ids, mask)
-        return time.perf_counter() - start
+            while True:
+                for ids, mask in batches:
+                    model.forward(ids, mask)
+                runs += 1
+                elapsed = time.perf_counter() - start
+                if elapsed >= min_seconds:
+                    return elapsed / runs
 
-    for _ in range(2):
-        one_pass()
-    times = sorted(one_pass() for _ in range(repeats))
+    one_pass(0.0)  # warm-up: one run
+    times = sorted(one_pass(MIN_PASS_SECONDS) for _ in range(repeats))
     median = times[len(times) // 2]
     return {
         "examples_per_second": len(batches) / median,

@@ -314,16 +314,6 @@ def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return g
 
 
-def _gemm(x: np.ndarray, w: np.ndarray, out: np.ndarray, lone: bool):
-    """``out[:] = x @ w``; with ``lone``, the one row of ``x`` runs as two. OpenBLAS
-    computes a one-row product (gemv) in another order than a row of a taller
-    one, so a row that the padded layout multiplies beside padding keeps its bits."""
-    if lone:
-        out[:] = (x[[0, 0]] @ w)[:1]
-    else:
-        np.matmul(x, w, out=out)
-
-
 def _unsort(x: np.ndarray, order, n: int) -> np.ndarray:
     """The rows of ``x``, in ``moe_ffn``'s row order, back at their input positions
     among ``n`` rows; rows that ``order`` leaves out are 0."""
@@ -345,12 +335,13 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None, mask=None) -> T
     are exactly 0, and it adds nothing to a weight gradient. The real rows of
     the output equal those of the same call without ``mask`` bit for bit where
     a GEMM row does not depend on the row count. With one OpenBLAS thread that
-    holds at the README and serve shapes, but not for every shape: a
-    one-column product runs as a gemv, and small products take other kernels.
+    holds at the README and serve shapes, but not for every shape: a one-row
+    or one-column product runs as a gemv, so a real row alone on its expert
+    may differ from the padded path in its last bits.
 
     One list of row indices, ``order``, takes the real rows grouped by expert
     (one stable argsort; neither it nor a gather runs when one expert takes
-    every row and there is no ``mask``). Each expert runs its GEMMs on its
+    every row and no row is padding). Each expert runs its GEMMs on its
     contiguous slice, and the output scatters back through ``order``. GELU and
     its gradient walk the (rows × k) hidden buffer in blocks of ``_BLOCK``
     elements that stay in cache, and make no full-size temporary: without a
@@ -376,35 +367,34 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None, mask=None) -> T
         raise ShapeError("moe_ffn", a.shape, lead if route is None else route.shape,
                          *(x.shape for ws in experts for x in ws))
     n = math.prod(lead)
-    rows = slice(None) if mask is None else np.flatnonzero(mask.reshape(-1) > 0)  # the real rows
-    # spans: (expert, first row, end row, one row that padding kept company: see _gemm)
+    rows = slice(None)  # the real rows: every row, or the indices of those whose mask is not 0
+    if mask is not None and np.count_nonzero(mask) < n:
+        rows = np.flatnonzero(mask)
     if route is None:
-        m = n if mask is None else rows.size
-        spans = [(0, 0, m, m == 1 < n)] if m else []
+        m = n if isinstance(rows, slice) else rows.size
+        spans = [(0, 0, m)] if m else []
     else:
-        flat = route.reshape(-1)
-        total = np.bincount(flat, minlength=len(experts)).tolist()  # rejects a negative route
-        if len(total) > len(experts):
+        flat = route.reshape(-1)[rows]
+        counts = np.bincount(flat, minlength=len(experts)).tolist()  # rejects a negative route
+        if len(counts) > len(experts):
             raise ValueError(f"moe_ffn: route outside [0, {len(experts)})")
-        counts = total if mask is None else np.bincount(flat[rows], minlength=len(experts)).tolist()
         ends = itertools.accumulate(counts)
-        spans = [(e, end - c, end, c == 1 < total[e])
-                 for e, (c, end) in enumerate(zip(counts, ends)) if c]
+        spans = [(e, end - c, end) for e, (c, end) in enumerate(zip(counts, ends)) if c]
     if len(spans) > 1:
-        order = np.argsort(flat[rows], kind="stable")
-        order = order if mask is None else rows[order]
+        order = np.argsort(flat, kind="stable")
+        order = order if isinstance(rows, slice) else rows[order]
     else:  # one expert takes every real row: they are in expert order already
         order = rows
     xs = a.data.reshape(-1, d)[order]
     params = [a] + [x for ws in experts for x in ws] + ([] if scale is None else [scale])
     z = np.empty((len(xs), k))
-    for e, lo, hi, lone in spans:
-        _gemm(xs[lo:hi], w1s[e].data, z[lo:hi], lone)
+    for e, lo, hi in spans:
+        np.matmul(xs[lo:hi], w1s[e].data, out=z[lo:hi])
         z[lo:hi] += b1s[e].data
     h, t = _gelu_tanh(z, keep_t=True) if _records(params) else (_gelu_into(z, z), None)
     ys = np.empty((len(xs), d_out))
-    for e, lo, hi, lone in spans:
-        _gemm(h[lo:hi], w2s[e].data, ys[lo:hi], lone)
+    for e, lo, hi in spans:
+        np.matmul(h[lo:hi], w2s[e].data, out=ys[lo:hi])
         ys[lo:hi] += b2s[e].data
     if scale is not None:
         s = scale.data.reshape(-1)[order, None]
@@ -415,7 +405,7 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None, mask=None) -> T
         gs = g.reshape(-1, d_out)[order]
         gy = gs if scale is None else gs * s
         dz = np.empty_like(z)
-        for e, lo, hi, _ in spans:
+        for e, lo, hi in spans:
             np.matmul(gy[lo:hi], w2s[e].data.T, out=dz[lo:hi])
         delta = dz if sink is None else np.empty_like(dz)  # the sink sees dz and delta
         for zb, tb, ub, db in _blocks(z, t, dz, delta):
@@ -424,7 +414,7 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None, mask=None) -> T
             sink(z, h, dz, delta)
         gx = np.empty_like(xs)
         pgs = [None] * len(params)  # an idle expert keeps None, so the optimizer skips it
-        for e, lo, hi, _ in spans:
+        for e, lo, hi in spans:
             np.matmul(delta[lo:hi], w1s[e].data.T, out=gx[lo:hi])
             pgs[1 + 4 * e:5 + 4 * e] = [xs[lo:hi].T @ delta[lo:hi], delta[lo:hi].sum(axis=0),
                                         h[lo:hi].T @ gy[lo:hi], gy[lo:hi].sum(axis=0)]

@@ -1,4 +1,4 @@
-"""Test-session setup: one BLAS thread, set before numpy loads.
+"""pytest setup: one BLAS thread, set before numpy loads.
 
 The padding tests compare bits with the padded path, which assumes GEMM rows
 computed by one OpenBLAS thread, and criterion 8 compares dense and MoE

@@ -276,10 +276,6 @@ def moe_ffn_padded(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None) -> T.Ten
     return T._make("moe_ffn", out, params, grads)
 
 
-# -- reductions and reshaping ----------------------------------------------
-
-
-
 def moe_forward_per_expert(attn_out, experts, routing, token_ids, mask) -> T.Tensor:
     """The per-expert dispatch that ``moe.moe_forward`` used before ``moe_ffn``:
     a ``take``, a ``composed_ffn`` and a ``scatter_rows`` per expert, summed with ``add``."""

@@ -213,6 +213,12 @@ class TestErrors:
             bench_inference(model, Dataset([Example(np.array([2, 5]), 0)], 2), repeats=repeats)
         assert passes == []
 
+    def test_bench_inference_rejects_an_empty_dataset(self):
+        model = EncoderModel(ModelConfig(vocab_size=10, embed_dim=4, ffn_hidden=8, num_layers=1,
+                                         num_heads=2, max_seq_len=4))
+        with pytest.raises(ValueError, match=r"^no examples to time$"):
+            bench_inference(model, Dataset([], 2))
+
     def test_adapt_without_importance_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert cli.main(["train-teacher", "--config", cfg]) == 0

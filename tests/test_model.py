@@ -458,7 +458,7 @@ class TestPadding:
             assert wide.shape == (5, width, 32) and np.array_equal(h.data, wide.data)
 
     @pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
-    def test_ffn_gets_a_mask_only_while_padding_remains(self, kind, monkeypatch):
+    def test_ffn_gets_the_trimmed_mask(self, kind, monkeypatch):
         models, examples = _readme_models_and_examples()
         seen = []
 
@@ -468,17 +468,18 @@ class TestPadding:
 
         monkeypatch.setattr(M, "moe_ffn", recording)
         one = examples[0].ids
-        cases = [(one[None], np.ones((1, len(one))), False),
+        cases = [(one[None], np.ones((1, len(one)))),
                  # batch 1 padded to a wider input: the trim leaves no padding
-                 (np.r_[one, 0, 0][None], np.r_[np.ones(len(one)), 0, 0][None], False),
-                 (*pad_batch(examples[:3])[:2], False),  # three sentences of 14 tokens
-                 (*pad_batch(examples[2:5])[:2], True)]  # 14, 17 and 17 tokens
-        for ids, mask, padded in cases:
+                 (np.r_[one, 0, 0][None], np.r_[np.ones(len(one)), 0, 0][None]),
+                 pad_batch(examples[:3])[:2],  # three sentences of 14 tokens
+                 pad_batch(examples[2:5])[:2]]  # 14, 17 and 17 tokens
+        for ids, mask in cases:
+            width = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
             seen.clear()
             with T.no_grad():
                 models[kind].forward(ids, mask)
             assert len(seen) == 2
-            assert all((m is not None) == padded for m in seen)
+            assert all(np.array_equal(m, mask[:, :width]) for m in seen)
 
     @pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
     @pytest.mark.parametrize("mask", [[[1, 1, 1], [0, 0, 0]], [[0, 0, 0]], np.zeros((2, 0))],
