@@ -3,11 +3,13 @@
 Layout: magic "MOEB" | uint32 version | uint32 header length | JSON header
 | payload. The header carries the full model config, a tensor manifest
 (name + shape in payload order), routing tables, an optional vocabulary
-reference and an importance-table digest. The payload is the manifest's
-tensors as little-endian float32, row major, concatenated. Loading checks
-the byte length against the manifest exactly, and raises ``CheckpointError``
-for any file it cannot read as a model: a short file, a header that is not
-JSON or lacks keys, a manifest that does not match the model, or a routing
+reference, an importance-table digest, the payload's SHA-256 and its own:
+``header_sha256`` hashes the canonical JSON of the other header keys. The
+payload is the manifest's tensors as little-endian float32, row major,
+concatenated. Loading checks the byte length against the manifest exactly,
+and raises ``CheckpointError`` for any file it cannot read as a model: a
+short file, another format version, a header that is not JSON, lacks keys or
+fails its checksum, a manifest that does not match the model, or a routing
 table entry or provenance column out of range.
 """
 
@@ -25,8 +27,9 @@ from .moe import ExpertSet, RoutingTable, GATE, STRATEGIES
 from .tensor import Tensor
 
 MAGIC = b"MOEB"
-VERSION = 1
-_HEADER_KEYS = ("config", "manifest", "routing", "provenance", "payload_sha256")
+VERSION = 2
+_HEADER_KEYS = ("config", "manifest", "routing", "provenance", "payload_sha256",
+                "header_sha256")
 
 
 class CheckpointError(ValueError):
@@ -61,9 +64,20 @@ def save_checkpoint(model: EncoderModel, path: str,
         "importance_digest": importance_digest,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header["header_sha256"] = _header_digest(header)
+    header_bytes = _canonical(header)
     write_atomic(path, MAGIC + struct.pack("<II", VERSION, len(header_bytes)) + header_bytes
                  + payload)
+
+
+def _canonical(header: dict) -> bytes:
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _header_digest(header: dict) -> str:
+    """SHA-256 of the canonical JSON of ``header`` without its ``header_sha256`` key."""
+    return hashlib.sha256(_canonical({k: v for k, v in header.items()
+                                      if k != "header_sha256"})).hexdigest()
 
 
 def write_atomic(path: str, data: bytes) -> None:
@@ -98,6 +112,8 @@ def _read_header(fh, path: str) -> dict:
     missing = [k for k in _HEADER_KEYS if not isinstance(header, dict) or k not in header]
     if missing:
         raise CheckpointError(f"{path}: header lacks {', '.join(missing)}")
+    if _header_digest(header) != header["header_sha256"]:
+        raise CheckpointError(f"{path}: header checksum mismatch")
     return header
 
 

@@ -145,7 +145,6 @@ class SyntheticTask:
     train: list[tuple[str, int]]
     eval: list[tuple[str, int]]
     corpus: list[str] = field(repr=False)
-    signal_tokens: list[list[str]] = field(default_factory=list)
     n_classes: int = 2
 
 
@@ -201,7 +200,6 @@ def gen_synthetic_task(seed: int, n_examples: int = 1000, n_classes: int = 3,
         train=sentences[n_eval:],
         eval=sentences[:n_eval],
         corpus=[s for s, _ in sentences[n_eval:]],
-        signal_tokens=signal,
         n_classes=n_classes,
     )
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 from .data import Dataset, iter_batches
-from .model import EncoderModel, LayerOutputs, require_int, require_real
+from .model import EncoderModel, require_int, require_real
 
 LAYER_SETS = ("all", "last", "skip")
 
@@ -57,14 +57,14 @@ def _selected_layers(num_hidden: int, layer_set: str) -> list[int]:
     raise ValueError(f"unknown layer_set {layer_set!r}")
 
 
-def loss_trm(student: LayerOutputs, teacher: LayerOutputs, layer_set: str = "all") -> Tensor:
+def loss_trm(student: list[Tensor], teacher: list[Tensor], mask: np.ndarray,
+             layer_set: str = "all") -> Tensor:
     """Sum over selected layers of masked MSE between hidden states."""
-    if len(student.hidden) != len(teacher.hidden):
-        raise T.ShapeError("loss_trm", (len(student.hidden),), (len(teacher.hidden),))
-    layers = _selected_layers(len(student.hidden), layer_set)
+    if len(student) != len(teacher):
+        raise T.ShapeError("loss_trm", (len(student),), (len(teacher),))
     total = None
-    for l in layers:
-        term = T.mse(student.hidden[l], teacher.hidden[l].detach(), mask=student.mask)
+    for l in _selected_layers(len(student), layer_set):
+        term = T.mse(student[l], teacher[l].detach(), mask=mask)
         total = term if total is None else T.add(total, term)
     return total
 
@@ -190,11 +190,11 @@ def distill_batch_loss(student: EncoderModel, teacher: EncoderModel,
     """Combined objective for one batch and its (ce, trm, pred) parts as floats;
     the teacher runs without a graph, and the student with dropout if given ``rng``."""
     with T.no_grad():
-        t_logits, t_layers = teacher.forward(ids, mask)
-    s_logits, s_layers = student.forward(ids, mask, rng=rng)
+        t_logits, t_hidden = teacher.forward(ids, mask)
+    s_logits, s_hidden = student.forward(ids, mask, rng=rng)
     ce = T.cross_entropy_logits(s_logits, labels)
     if config.lambda_distill > 0:
-        trm = loss_trm(s_layers, t_layers, config.layer_set)
+        trm = loss_trm(s_hidden, t_hidden, mask, config.layer_set)
         pred = loss_pred(T.softmax(s_logits), T.softmax(t_logits))
         total = T.add(ce, T.mul(T.add(trm, pred), config.lambda_distill))
     else:

@@ -87,12 +87,6 @@ class ModelConfig:
         return cls(moe=MoEConfig(**moe) if moe else None, **d)
 
 
-@dataclass
-class LayerOutputs:
-    hidden: list[Tensor]  # X^0 .. X^L, each batch × seq × d
-    mask: np.ndarray
-
-
 _LAYER_TENSORS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
                   "attn_ln_g", "attn_ln_b", "ffn_ln_g", "ffn_ln_b")
 
@@ -197,13 +191,11 @@ class EncoderModel:
     # -- forward ------------------------------------------------------------
 
     def forward(self, token_ids: np.ndarray, mask: np.ndarray,
-                rng: np.random.Generator | None = None) -> tuple[Tensor, LayerOutputs]:
-        """Logits and the hidden states X^0 .. X^L; dropout runs exactly when ``rng``
-        is given (training), and never without one (evaluation, the teacher).
-
-        Trailing columns that are padding (mask 0) in every row are dropped
-        first, so the hidden states and ``LayerOutputs.mask`` have the trimmed
-        width. A row with no real position is a ``ShapeError``.
+                rng: np.random.Generator | None = None) -> tuple[Tensor, list[Tensor]]:
+        """Logits and the hidden states X^0 .. X^L, each of the input's shape × d;
+        dropout runs exactly when ``rng`` is given (training), and never without one
+        (evaluation, the teacher). A mask row with no real position, or an input with
+        no columns, is a ``ShapeError``.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         mask = np.asarray(mask, dtype=np.float64)
@@ -214,12 +206,9 @@ class EncoderModel:
             raise ShapeError("encoder_forward", (batch, seq), (self.cfg.max_seq_len,))
         if token_ids.min(initial=0) < 0 or token_ids.max(initial=0) >= self.cfg.vocab_size:
             raise ValueError("token id outside the vocabulary")
-        if seq == 0 or np.count_nonzero(mask) < mask.size:  # some position is padding
-            real = mask > 0
-            if not real.any(axis=1).all():
-                raise ShapeError("encoder_forward", mask.shape)  # a row with nothing to read
-            seq = int(np.flatnonzero(real.any(axis=0))[-1]) + 1
-            token_ids, mask = token_ids[:, :seq], mask[:, :seq]
+        # only an input with padding can have a row with nothing to read
+        if seq == 0 or (np.count_nonzero(mask) < mask.size and not (mask > 0).any(axis=1).all()):
+            raise ShapeError("encoder_forward", mask.shape)
         p = self.cfg.dropout
 
         x = T.layernorm(T.take(self.tok_emb, token_ids), self.emb_ln_g, self.emb_ln_b,
@@ -234,7 +223,7 @@ class EncoderModel:
         cls_vec = T.reshape(T.take(x, np.asarray([0]), axis=1), (batch, self.cfg.embed_dim))
         pooled = T.tanh(T.add(T.matmul(cls_vec, self.pool_w), self.pool_b))
         logits = T.check_finite(T.add(T.matmul(pooled, self.cls_w), self.cls_b), "logits")
-        return logits, LayerOutputs(hidden, mask)
+        return logits, hidden
 
 
 # -- analytic cost accounting ----------------------------------------------

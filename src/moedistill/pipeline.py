@@ -198,24 +198,17 @@ def bench_inference(model: EncoderModel, dataset: Dataset, repeats: int = 5) -> 
     A pass runs the examples once, or as many times over as it takes to last
     ``MIN_PASS_SECONDS``, so that a short list is not timed inside one burst of
     scheduler noise. Timing is the median over ``repeats`` passes after one
-    warm-up run; ``median_seconds`` is for one run over the examples. Every
-    example is padded to the model's ``max_seq_len``, and the forward trims
-    that trailing padding, so each example runs at its real length;
-    ``seq_len`` and the cost numbers stay at ``max_seq_len``.
+    warm-up run; ``median_seconds`` is for one run over the examples. Each
+    example runs at its real length, cut to the model's ``max_seq_len``;
+    ``seq_len`` and the cost numbers are at ``max_seq_len``.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if not dataset.examples:
         raise ValueError("no examples to time")
     seq_len = model.cfg.max_seq_len
-    batches = []
-    for ex in dataset.examples:
-        n = min(seq_len, len(ex.ids))
-        ids = np.zeros((1, seq_len), dtype=np.int64)
-        ids[0, :n] = ex.ids[:n]
-        mask = np.zeros((1, seq_len))
-        mask[0, :n] = 1.0  # by length: a literal "<pad>" token is id 0 too
-        batches.append((ids, mask))
+    batches = [(ids, np.ones(ids.shape))
+               for ids in (ex.ids[None, :seq_len] for ex in dataset.examples)]
 
     def one_pass(min_seconds: float) -> float:
         """Seconds for one run over the examples."""
@@ -263,12 +256,15 @@ def _write_phase_metrics(out_dir: str, phase: str, records: list[dict]):
 
 
 def _load_stage_checkpoint(cfg: RunConfig, data: PreparedData, name: str) -> EncoderModel:
-    """``out_dir/<name>.ckpt``, if its vocabulary and label count are the data's."""
+    """``out_dir/<name>.ckpt``, if its vocabulary and label count are the data's and its
+    ``max_seq_len`` is the config's (the data is cut to that length)."""
     model = load_checkpoint(os.path.join(cfg.out_dir, f"{name}.ckpt"))
-    have = (model.cfg.vocab_size, model.cfg.num_labels)
-    if have != (data.vocab.size, data.num_labels):
-        raise ConfigError(f"{name}.ckpt has (vocab_size, num_labels) {have}, but the config's "
-                          f"data gives {(data.vocab.size, data.num_labels)}")
+    have = (model.cfg.vocab_size, model.cfg.num_labels, model.cfg.max_seq_len)
+    want = (data.vocab.size, data.num_labels,
+            cfg.model.get("max_seq_len", ModelConfig.max_seq_len))
+    if have != want:
+        raise ConfigError(f"{name}.ckpt has (vocab_size, num_labels, max_seq_len) {have}, "
+                          f"but the config and its data give {want}")
     return model
 
 

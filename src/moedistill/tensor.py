@@ -261,23 +261,15 @@ def _blocks(*arrays) -> list:
     return [[f[lo:lo + _BLOCK] for f in flats] for lo in range(0, flats[0].size, _BLOCK)]
 
 
-def _gelu_tanh(x: np.ndarray, keep_t: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """GELU, tanh approximation: 0.5 x (1 + tanh(√(2/π)(x + 0.044715 x³))).
-
-    Returns ``(gelu(x), t)``, where ``t`` is the tanh term that ``_gelu_grad``
-    needs, or None without ``keep_t``. ``x`` may have any shape.
-    """
-    t = np.empty(x.shape) if keep_t else None
-    return _gelu_into(x, np.empty(x.shape), t), t
-
-
 def _gelu_into(x: np.ndarray, h: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
-    """Write GELU(x) into ``h`` and its tanh term into ``t``, one block at a time, and return ``h``.
+    """Write GELU(x) = 0.5 x (1 + tanh(√(2/π)(x + 0.044715 x³))) into ``h`` and the tanh
+    term into ``t``, one block at a time, and return ``h``.
 
-    ``h`` and ``t`` are C-contiguous. Without ``t`` the tanh term goes over
-    ``h``, or over a scratch block when ``h`` is ``x``; so GELU in place makes
-    no full-size temporary. The cube is ``x*x*x``: numpy evaluates ``x ** 3``
-    as a general ``pow``, which is several times slower.
+    ``x`` may have any shape; ``h`` and ``t`` are C-contiguous arrays of that
+    shape. Without ``t`` the tanh term goes over ``h``, or over a scratch block
+    when ``h`` is ``x``; so GELU in place makes no full-size temporary. The
+    cube is ``x*x*x``: numpy evaluates ``x ** 3`` as a general ``pow``, which
+    is several times slower.
     """
     for xb, hb, u in _blocks(x, h, h if t is None else t):
         if h is x:
@@ -296,7 +288,7 @@ def _gelu_into(x: np.ndarray, h: np.ndarray, t: np.ndarray | None = None) -> np.
 
 
 def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d gelu / dx from the input and the tanh term of ``_gelu_tanh``, one block at a time:
+    """d gelu / dx from the input and the tanh term of ``_gelu_into``, one block at a time:
     ``0.5 ((1 + t) + x (1 - t²) dinner)`` with ``dinner = √(2/π) (1 + 3c x x)``."""
     g = np.empty(x.shape)
     for xb, tb, gb in _blocks(x, t, g):
@@ -391,7 +383,8 @@ def moe_ffn(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None, mask=None) -> T
     for e, lo, hi in spans:
         np.matmul(xs[lo:hi], w1s[e].data, out=z[lo:hi])
         z[lo:hi] += b1s[e].data
-    h, t = _gelu_tanh(z, keep_t=True) if _records(params) else (_gelu_into(z, z), None)
+    t = np.empty(z.shape) if _records(params) else None  # the tanh term _gelu_grad needs
+    h = _gelu_into(z, z if t is None else np.empty(z.shape), t)
     ys = np.empty((len(xs), d_out))
     for e, lo, hi in spans:
         np.matmul(h[lo:hi], w2s[e].data, out=ys[lo:hi])

@@ -3,10 +3,13 @@ the dense FFN as the tests call it, the gradient and importance checks, and
 helpers only the tests use."""
 
 import itertools
+import json
 import math
+import struct
 
 import numpy as np
 
+from moedistill import checkpoint as C
 from moedistill import data as D
 from moedistill import moe as M
 from moedistill import tensor as T
@@ -124,13 +127,14 @@ def gelu(a) -> T.Tensor:
     """GELU, tanh approximation, as its own node; the oracle for the GELU inside ``moe_ffn``."""
     a = T.as_tensor(a)
     x = a.data
-    out, t = T._gelu_tanh(x, keep_t=True)
+    t = np.empty(x.shape)
+    out = T._gelu_into(x, np.empty(x.shape), t)
     return T._make("gelu", out, [a], lambda g: (g * T._gelu_grad(x, t),))
 
 
 def gelu_tanh_whole(x: np.ndarray, keep_t: bool):
-    """``tensor._gelu_tanh`` as whole-array passes, with a second full-size
-    buffer; the exactness oracle for its blocked form."""
+    """GELU and its tanh term (or None without ``keep_t``) as whole-array passes,
+    with a second full-size buffer; the exactness oracle for ``tensor._gelu_into``."""
     u = x * x
     u *= x
     u *= T._GELU_C
@@ -241,7 +245,8 @@ def moe_ffn_padded(a, route, w1s, b1s, w2s, b2s, scale=None, sink=None) -> T.Ten
     for e, lo, hi in spans:
         np.matmul(xs[lo:hi], w1s[e].data, out=z[lo:hi])
         z[lo:hi] += b1s[e].data
-    h, t = T._gelu_tanh(z, keep_t=True) if T._records(params) else (T._gelu_into(z, z), None)
+    t = np.empty(z.shape) if T._records(params) else None
+    h = T._gelu_into(z, z if t is None else np.empty(z.shape), t)
     ys = np.empty((n, d_out))
     for e, lo, hi in spans:
         np.matmul(h[lo:hi], w2s[e].data, out=ys[lo:hi])
@@ -343,17 +348,13 @@ def importance_per_example(teacher, dataset) -> dict[int, np.ndarray]:
 
 def bayes_accuracy(task: D.SyntheticTask, split: str = "eval") -> float:
     """Accuracy of the majority-signal-token classifier on a split."""
-    owner = {}
-    for c, toks in enumerate(task.signal_tokens):
-        for t in toks:
-            owner[t] = c
     pairs = task.eval if split == "eval" else task.train
     correct = 0
     for text, label in pairs:
         votes = np.zeros(task.n_classes)
         for t in text.split():
-            if t in owner:
-                votes[owner[t]] += 1
+            if t.startswith("sig"):  # sig{c}_{k}, a signal token of class c
+                votes[int(t[3:].split("_")[0])] += 1
         correct += int(np.argmax(votes) == label)
     return correct / len(pairs)
 
@@ -361,3 +362,25 @@ def bayes_accuracy(task: D.SyntheticTask, split: str = "eval") -> float:
 def count_total_params(model) -> int:
     """Every stored parameter of ``model``, by enumeration."""
     return sum(p.data.size for p in model.parameters())
+
+
+def rewrite_header(path: str, edit) -> None:
+    """Replace a checkpoint's JSON header with ``edit(header bytes)``, keeping
+    its prefix and payload."""
+    blob = open(path, "rb").read()
+    hlen = struct.unpack("<I", blob[8:12])[0]
+    new = edit(blob[12:12 + hlen])
+    open(path, "wb").write(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
+
+
+def edit_header(edit, rehash: bool = True):
+    """A ``rewrite_header`` edit that applies ``edit`` to the parsed header and
+    writes it back as canonical JSON, with ``header_sha256`` recomputed if
+    ``rehash``: a rehashed edit reaches the checks that follow the checksum."""
+    def raw_edit(raw: bytes) -> bytes:
+        header = json.loads(raw)
+        edit(header)
+        if rehash:
+            header["header_sha256"] = C._header_digest(header)
+        return C._canonical(header)
+    return raw_edit

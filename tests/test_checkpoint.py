@@ -12,6 +12,7 @@ from moedistill import pipeline
 from moedistill.importance import ImportanceTable
 from moedistill.model import EncoderModel, ModelConfig, MoEConfig
 from moedistill.pipeline import adapt_model
+from oracles import edit_header, rewrite_header
 
 
 def dense_model(seed=0):
@@ -118,13 +119,46 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_version_mismatch_rejected(tmp_path):
-    model = dense_model()
     path = str(tmp_path / "m.ckpt")
-    C.save_checkpoint(model, path)
+    C.save_checkpoint(dense_model(), path)
     blob = bytearray(open(path, "rb").read())
-    blob[4] = 99
-    open(path, "wb").write(bytes(blob))
-    with pytest.raises(C.CheckpointError, match="version"):
+    for version in (1, 99):  # the format before the header checksum, and a future one
+        blob[4:8] = struct.pack("<I", version)
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(C.CheckpointError, match=f"unsupported format version {version}$"):
+            C.load_checkpoint(path)
+
+
+def _other_expert(header):  # one routing-table entry moved to another of the 4 experts
+    table = header["routing"][0]["table"]
+    table[3] = (table[3] + 1) % 4
+
+
+def _other_column(header):  # one provenance column swapped for one the expert lacks
+    columns = header["provenance"][1][0]
+    columns[0] = next(c for c in range(32) if c not in columns)
+
+
+def _other_dropout(header):
+    header["config"]["dropout"] = 0.25
+
+
+IN_RANGE_EDITS = {"routing-table-entry": _other_expert, "provenance-column": _other_column,
+                  "dropout": _other_dropout}
+
+
+@pytest.mark.parametrize("edit", IN_RANGE_EDITS)
+def test_in_range_header_edit_rejected(tmp_path, edit):
+    """Each edit gives a header that describes a valid model (it loads once
+    rehashed), so only the header checksum can catch it."""
+    path = str(tmp_path / "m.ckpt")
+    C.save_checkpoint(moe_model("hash_balanced"), path)
+    saved = open(path, "rb").read()
+    rewrite_header(path, edit_header(IN_RANGE_EDITS[edit]))
+    C.load_checkpoint(path)
+    open(path, "wb").write(saved)
+    rewrite_header(path, edit_header(IN_RANGE_EDITS[edit], rehash=False))
+    with pytest.raises(C.CheckpointError, match="header checksum mismatch"):
         C.load_checkpoint(path)
 
 
@@ -195,3 +229,18 @@ def test_corrupted_bytes_load_or_raise_checkpoint_error(data):
             C.load_checkpoint(path)
         except C.CheckpointError:
             pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_single_bit_flip_in_prefix_or_header_rejected(data):
+    """The header checksum leaves no in-range edit: every one-bit change before
+    the payload is a ``CheckpointError``."""
+    blob = bytearray(small_moe_bytes())
+    header_end = 12 + struct.unpack("<I", blob[8:12])[0]
+    blob[data.draw(st.integers(0, header_end - 1))] ^= 1 << data.draw(st.integers(0, 7))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(C.CheckpointError):
+            C.load_checkpoint(path)

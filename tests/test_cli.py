@@ -1,7 +1,6 @@
 import json
 import os
 import shutil
-import struct
 import subprocess
 import sys
 
@@ -14,6 +13,7 @@ from moedistill.checkpoint import load_checkpoint
 from moedistill.data import Dataset, Example, pad_batch
 from moedistill.model import EncoderModel, ModelConfig
 from moedistill.pipeline import RunConfig, bench_inference, prepare_data
+from oracles import edit_header, rewrite_header
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -228,25 +228,14 @@ class TestErrors:
         assert "importance" in msg
 
 
-def rewrite_header(path, edit):
-    """Replace a checkpoint's JSON header with ``edit(header bytes)``, keeping
-    its prefix and payload."""
-    blob = open(path, "rb").read()
-    hlen = struct.unpack("<I", blob[8:12])[0]
-    new = edit(blob[12:12 + hlen])
-    open(path, "wb").write(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
-
-
 def set_entry(keys, value):
-    """A header edit that sets the JSON entry reached by ``keys`` to ``value``."""
-    def edit(raw):
-        header = json.loads(raw)
-        node = header
+    """A header edit, checksum included, that sets the JSON entry reached by ``keys``
+    to ``value``."""
+    def edit(header):
         for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
-        return json.dumps(header).encode("utf-8")
-    return edit
+            header = header[key]
+        header[keys[-1]] = value
+    return edit_header(edit)
 
 
 @pytest.fixture(scope="module")
@@ -260,14 +249,17 @@ def adapted_run(tmp_path_factory):
 
 
 class TestCorruptCheckpoint:
-    @pytest.mark.parametrize("corrupt", [
-        lambda p: rewrite_header(p, set_entry(["routing", 0, "table", 5], 7)),  # of 4 experts
-        lambda p: open(p, "wb").write(b"MOEB\x01"),
-        lambda p: rewrite_header(p, lambda raw: b"{oops"),
-        lambda p: rewrite_header(p, set_entry(["provenance", 0, 1, 0], 999)),  # of 64 columns
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda p: rewrite_header(p, set_entry(["routing", 0, "table", 5], 7)),  # of 4 experts
+         "routing table"),
+        (lambda p: open(p, "wb").write(b"MOEB\x01"), "magic"),
+        (lambda p: rewrite_header(p, lambda raw: b"{oops"), "JSON"),
+        (lambda p: rewrite_header(p, set_entry(["provenance", 0, 1, 0], 999)),  # of 64 columns
+         "provenance"),
     ], ids=["table-entry-out-of-range", "five-byte-file", "header-not-json",
             "provenance-out-of-range"])
-    def test_eval_reports_one_checkpoint_error(self, adapted_run, tmp_path, capsys, corrupt):
+    def test_eval_reports_one_checkpoint_error(self, adapted_run, tmp_path, capsys, corrupt,
+                                               message):
         cfg, out = adapted_run
         shutil.copytree(out, tmp_path / "out")
         corrupt(str(tmp_path / "out" / "student_init.ckpt"))
@@ -277,7 +269,8 @@ class TestCorruptCheckpoint:
         assert rc == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "CheckpointError"
+        err = json.loads(lines[0])
+        assert err["error"] == "CheckpointError" and message in err["message"]
 
 
 class TestCorruptArtifacts:
@@ -327,6 +320,20 @@ class TestVocabularyMismatch:
         err = json.loads(lines[0])
         assert err["error"] == "ConfigError"
         assert "teacher.ckpt" in err["message"] and "vocab_size" in err["message"]
+        assert not (tmp_path / "out" / "eval_teacher.json").exists()
+
+    def test_eval_of_teacher_with_other_max_seq_len_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, model={**MODEL, "max_seq_len": 10})
+        assert cli.main(["train-teacher", "--config", cfg]) == 0
+        other = write_config(tmp_path, model={**MODEL, "max_seq_len": 24})
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", other, "--which", "teacher"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError"
+        assert "max_seq_len" in err["message"]
+        assert ", 10)" in err["message"] and ", 24)" in err["message"]  # both values
         assert not (tmp_path / "out" / "eval_teacher.json").exists()
 
 

@@ -95,11 +95,16 @@ class TestLoadTsv(object):
 
 class TestSyntheticTask:
     def test_signal_sets_disjoint(self):
+        """Every sentence plants at least two signal tokens, and each signal token
+        occurs in sentences of one class only."""
         task = D.gen_synthetic_task(0, n_examples=50, n_classes=4, vocab_size=150)
-        seen = set()
-        for toks in task.signal_tokens:
-            assert not (seen & set(toks))
-            seen |= set(toks)
+        owner = {}
+        for text, label in task.train + task.eval:
+            signal = [t for t in text.split() if t.startswith("sig")]
+            assert len(signal) >= 2
+            for t in signal:
+                assert owner.setdefault(t, label) == label
+        assert len(set(owner.values())) == 4
 
     def test_bayes_classifier_is_perfect(self):
         task = D.gen_synthetic_task(3, n_examples=400, n_classes=3, vocab_size=150)

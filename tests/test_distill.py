@@ -7,17 +7,15 @@ from moedistill import tensor as T
 from moedistill import distill as D
 from moedistill.data import build_vocab, encode_dataset, gen_synthetic_task, iter_batches
 from moedistill.importance import accumulate_importance
-from moedistill.model import EncoderModel, LayerOutputs, ModelConfig, MoEConfig
+from moedistill.model import EncoderModel, ModelConfig, MoEConfig
 from moedistill.pipeline import adapt_model
 from moedistill.tensor import Tensor
 from oracles import finite_diff_check
 
 
-def fake_layers(shapes, seed=0, mask=None):
+def fake_layers(shapes, seed=0):
     rng = np.random.default_rng(seed)
-    hidden = [Tensor(rng.normal(size=s)) for s in shapes]
-    mask = np.ones(shapes[0][:2]) if mask is None else mask
-    return LayerOutputs(hidden, mask)
+    return [Tensor(rng.normal(size=s)) for s in shapes]
 
 
 def build_task(seed=0, n=200, n_classes=3, vocab_size=120, max_len=24):
@@ -40,21 +38,21 @@ class TestLossTrm:
     def test_identical_outputs_zero(self):
         s = fake_layers([(2, 3, 4)] * 3, seed=0)
         t = fake_layers([(2, 3, 4)] * 3, seed=0)
-        assert D.loss_trm(s, t).item() == 0.0
+        assert D.loss_trm(s, t, np.ones((2, 3))).item() == 0.0
 
     def test_constant_offset_squared(self):
         s = fake_layers([(2, 3, 4)], seed=1)
-        t = LayerOutputs([T.add(s.hidden[0], 0.7)], s.mask)
-        assert D.loss_trm(s, t, "all").item() == pytest.approx(0.49, rel=1e-12)
+        t = [T.add(s[0], 0.7)]
+        assert D.loss_trm(s, t, np.ones((2, 3)), "all").item() == pytest.approx(0.49, rel=1e-12)
 
     def test_matches_sum_of_means_oracle(self):
         mask = np.array([[1, 1, 0], [1, 1, 1]], dtype=float)
-        s = fake_layers([(2, 3, 4)] * 4, seed=2, mask=mask)
-        t = fake_layers([(2, 3, 4)] * 4, seed=3, mask=mask)
-        got = D.loss_trm(s, t, "all").item()
+        s = fake_layers([(2, 3, 4)] * 4, seed=2)
+        t = fake_layers([(2, 3, 4)] * 4, seed=3)
+        got = D.loss_trm(s, t, mask, "all").item()
         expected = 0.0
         for l in range(4):
-            diff = (s.hidden[l].data - t.hidden[l].data) ** 2
+            diff = (s[l].data - t[l].data) ** 2
             w = np.broadcast_to(mask[:, :, None], diff.shape)
             expected += (w * diff).sum() / w.sum()
         assert got == pytest.approx(expected, rel=1e-12)
@@ -62,13 +60,14 @@ class TestLossTrm:
     def test_layer_subsets(self):
         s = fake_layers([(1, 2, 3)] * 5, seed=4)
         t = fake_layers([(1, 2, 3)] * 5, seed=5)
-        all_ = D.loss_trm(s, t, "all").item()
-        last = D.loss_trm(s, t, "last").item()
-        skip = D.loss_trm(s, t, "skip").item()
+        mask = np.ones((1, 2))
+        all_ = D.loss_trm(s, t, mask, "all").item()
+        last = D.loss_trm(s, t, mask, "last").item()
+        skip = D.loss_trm(s, t, mask, "skip").item()
         assert all_ >= skip >= 0
         assert all_ >= last
         # skip selects the embedding and every other layer: 0,2,4
-        per_layer = [((s.hidden[l].data - t.hidden[l].data) ** 2).mean()
+        per_layer = [((s[l].data - t[l].data) ** 2).mean()
                      for l in range(5)]
         assert skip == pytest.approx(sum(per_layer[0::2]), rel=1e-12)
         assert last == pytest.approx(per_layer[4], rel=1e-12)
@@ -77,7 +76,7 @@ class TestLossTrm:
         s = fake_layers([(1, 2, 3)] * 3)
         t = fake_layers([(1, 2, 3)] * 4)
         with pytest.raises(T.ShapeError):
-            D.loss_trm(s, t)
+            D.loss_trm(s, t, np.ones((1, 2)))
 
 
 class TestLossPred:

@@ -71,10 +71,10 @@ class TestEncoderForward:
         cfg = small_cfg()
         model = EncoderModel(cfg, seed=0)
         ids, mask = rand_batch(cfg)
-        logits, outs = model.forward(ids, mask)
+        logits, hidden = model.forward(ids, mask)
         assert logits.shape == (3, cfg.num_labels)
-        assert len(outs.hidden) == cfg.num_layers + 1
-        for x in outs.hidden:
+        assert len(hidden) == cfg.num_layers + 1
+        for x in hidden:
             assert x.shape == (3, 8, cfg.embed_dim)
 
     def test_too_long_sequence_raises(self):
@@ -99,10 +99,9 @@ class TestEncoderForward:
         ids = np.array([[5, 9, 14, 21, 30]])
         mask = np.ones((1, 5))
         perm = np.array([3, 0, 4, 1, 2])
-        _, outs = model.forward(ids, mask)
-        _, outs_p = model.forward(ids[:, perm], mask)
-        np.testing.assert_allclose(outs_p.hidden[-1].data,
-                                   outs.hidden[-1].data[:, perm, :], atol=1e-10)
+        _, hidden = model.forward(ids, mask)
+        _, hidden_p = model.forward(ids[:, perm], mask)
+        np.testing.assert_allclose(hidden_p[-1].data, hidden[-1].data[:, perm, :], atol=1e-10)
 
     def test_bitwise_determinism(self):
         cfg = small_cfg()
@@ -232,6 +231,26 @@ class TestRegistry:
         assert {k: report[k] for k in ("effective_params", "total_params",
                                        "flops_per_token")} == cost(model.cfg, report["seq_len"])
         assert report["seq_len"] == model.cfg.max_seq_len
+
+    def test_bench_inference_runs_each_example_at_its_real_length(self, monkeypatch):
+        """No padded column reaches the forward, and an example longer than
+        ``max_seq_len`` is cut to it."""
+        model = _tiny_models()["dense"]
+        n = model.cfg.max_seq_len
+        examples = [Example(np.array([2, 5, 9]), 0), Example(np.arange(2, n + 5), 1)]
+        seen, forward = [], model.forward
+
+        def recording(ids, mask, rng=None):
+            seen.append((ids, mask))
+            return forward(ids, mask, rng)
+
+        monkeypatch.setattr(model, "forward", recording)
+        bench_inference(model, Dataset(examples, 3), repeats=1)
+        assert len(seen) >= 4 and len(seen) % 2 == 0  # whole runs over both examples
+        for i, (ids, mask) in enumerate(seen):
+            assert np.array_equal(ids, examples[i % 2].ids[None, :n])
+            assert np.array_equal(mask, np.ones(ids.shape))
+        assert seen[1][0].shape == (1, n)
 
 
 def test_dropout_runs_exactly_when_an_rng_is_given():
@@ -394,7 +413,7 @@ def test_nan_in_value_weights_is_named_by_the_attention_scope(kind, monkeypatch)
         assert _forward_raises(model, True, False, monkeypatch) == "layer0.attn"
 
 
-# -- padding: the FFN skips padded positions, the forward trims padded columns
+# -- padding: the FFN skips padded positions
 
 def _readme_models_and_examples():
     """A dense teacher at the README shape, its hash_balanced and gate students,
@@ -415,9 +434,9 @@ def _readme_models_and_examples():
 
 def _loss_and_grads(model, ids, mask, labels):
     model.zero_grads()
-    logits, outs = model.forward(ids, mask)
+    logits, hidden = model.forward(ids, mask)
     T.cross_entropy_logits(logits, labels).backward()
-    return logits.data, [h.data for h in outs.hidden], [p.grad for p in model.parameters()]
+    return logits.data, [h.data for h in hidden], [p.grad for p in model.parameters()]
 
 
 class TestPadding:
@@ -429,7 +448,7 @@ class TestPadding:
         models, examples = _readme_models_and_examples()
         ids, mask, labels = pad_batch(examples[:32])
         real = mask > 0
-        assert not real.all() and real[:, -1].any()  # padded, with nothing to trim
+        assert not real.all() and real[:, -1].any()  # padded to the longest row
         logits, hidden, grads = _loss_and_grads(models[kind], ids, mask, labels)
         monkeypatch.setattr(M, "moe_ffn", lambda *args, mask=None, **kw: moe_ffn_padded(*args, **kw))
         ref_logits, ref_hidden, ref_grads = _loss_and_grads(models[kind], ids, mask, labels)
@@ -443,22 +462,24 @@ class TestPadding:
                 assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
-    def test_trailing_padding_columns_are_trimmed(self, kind):
+    def test_padding_columns_past_the_longest_row(self, kind):
+        """A batch padded to ``max_seq_len`` gives the tight batch's logits within
+        1e-12 relative (the extra keys get no attention weight), and hidden states
+        of the input's width."""
         models, examples = _readme_models_and_examples()
         ids, mask, _ = pad_batch(examples[:5])
         width = ids.shape[1]
+        assert width < 24
         wide_ids, wide_mask = np.zeros((5, 24), dtype=np.int64), np.zeros((5, 24))
         wide_ids[:, :width], wide_mask[:, :width] = ids, mask
         with T.no_grad():
-            logits, outs = models[kind].forward(ids, mask)
-            wide_logits, wide_outs = models[kind].forward(wide_ids, wide_mask)
-        assert np.array_equal(logits.data, wide_logits.data)
-        assert np.array_equal(wide_outs.mask, mask)
-        for h, wide in zip(outs.hidden, wide_outs.hidden):
-            assert wide.shape == (5, width, 32) and np.array_equal(h.data, wide.data)
+            logits, _ = models[kind].forward(ids, mask)
+            wide_logits, wide_hidden = models[kind].forward(wide_ids, wide_mask)
+        assert np.abs(wide_logits.data - logits.data).max() <= 1e-12 * np.abs(logits.data).max()
+        assert all(h.shape == (5, 24, 32) for h in wide_hidden)
 
     @pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
-    def test_ffn_gets_the_trimmed_mask(self, kind, monkeypatch):
+    def test_ffn_gets_the_callers_mask(self, kind, monkeypatch):
         models, examples = _readme_models_and_examples()
         seen = []
 
@@ -469,17 +490,16 @@ class TestPadding:
         monkeypatch.setattr(M, "moe_ffn", recording)
         one = examples[0].ids
         cases = [(one[None], np.ones((1, len(one)))),
-                 # batch 1 padded to a wider input: the trim leaves no padding
+                 # batch 1 padded past its length
                  (np.r_[one, 0, 0][None], np.r_[np.ones(len(one)), 0, 0][None]),
                  pad_batch(examples[:3])[:2],  # three sentences of 14 tokens
                  pad_batch(examples[2:5])[:2]]  # 14, 17 and 17 tokens
         for ids, mask in cases:
-            width = int(np.flatnonzero(mask.any(axis=0))[-1]) + 1
             seen.clear()
             with T.no_grad():
                 models[kind].forward(ids, mask)
             assert len(seen) == 2
-            assert all(np.array_equal(m, mask[:, :width]) for m in seen)
+            assert all(np.array_equal(m, mask) for m in seen)
 
     @pytest.mark.parametrize("kind", ["dense", "hash_balanced", "gate"])
     @pytest.mark.parametrize("mask", [[[1, 1, 1], [0, 0, 0]], [[0, 0, 0]], np.zeros((2, 0))],

@@ -329,13 +329,14 @@ class TestMoeFFN:
 
 
 def assert_gelu_exact(x):
-    """Both forms of ``_gelu_tanh`` and ``_gelu_grad`` equal the whole-buffer oracles bit for bit."""
+    """``_gelu_into`` with and without the tanh term, and ``_gelu_grad``, equal the
+    whole-buffer oracles bit for bit."""
     h_oracle, t_oracle = gelu_tanh_whole(x, keep_t=True)
-    h, t = T._gelu_tanh(x, keep_t=True)
-    assert h.shape == t.shape == x.shape
+    h, t = np.empty(x.shape), np.empty(x.shape)
+    assert T._gelu_into(x, h, t) is h
     assert np.array_equal(h, h_oracle) and np.array_equal(t, t_oracle)
-    h, t = T._gelu_tanh(x, keep_t=False)
-    assert t is None and np.array_equal(h, h_oracle)
+    h = T._gelu_into(x, np.empty(x.shape))
+    assert np.array_equal(h, h_oracle)
     assert np.array_equal(T._gelu_grad(x, t_oracle), gelu_grad_whole(x, t_oracle))
 
 
@@ -371,8 +372,9 @@ class TestBlockedGelu:
         for shape in [(17, 64), (300, 1024)]:
             x = rand(shape, 0)
             before = x.copy()
-            T._gelu_tanh(x, keep_t=False)
-            _, t = T._gelu_tanh(x, keep_t=True)
+            T._gelu_into(x, np.empty(shape))
+            t = np.empty(shape)
+            T._gelu_into(x, np.empty(shape), t)
             T._gelu_grad(x, t)
             assert np.array_equal(x, before)
 
@@ -380,11 +382,12 @@ class TestBlockedGelu:
 def whole_buffer_ffn(monkeypatch):
     """Make ``moe_ffn`` run its GELU and gradient as one whole-buffer pass of the oracles."""
     def gelu_into(x, h, t=None):
-        h[...] = gelu_tanh_whole(x, keep_t=False)[0]
+        h[...], u = gelu_tanh_whole(x, keep_t=t is not None)
+        if t is not None:
+            t[...] = u
         return h
 
     monkeypatch.setattr(T, "_BLOCK", 1 << 62)
-    monkeypatch.setattr(T, "_gelu_tanh", gelu_tanh_whole)
     monkeypatch.setattr(T, "_gelu_into", gelu_into)
     monkeypatch.setattr(T, "_gelu_grad", gelu_grad_whole)
 
